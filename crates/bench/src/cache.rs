@@ -26,7 +26,7 @@
 //!   simulated: CI uses this to prove a warm re-run does zero simulation.
 
 use crate::fsio::{atomic_write, FileLock};
-use crate::parallel::{self, json_field};
+use crate::parallel::{self, json_escape, json_field};
 use crate::sample::SampleSpec;
 use crate::statsio::{stats_from_json, stats_to_json, STATS_CODEC_VERSION};
 use crate::{Budget, SuiteResult};
@@ -241,7 +241,7 @@ pub struct ResultCache {
 }
 
 impl ResultCache {
-    /// A cache rooted at an explicit directory (tests, the daemon).
+    /// A cache rooted at an explicit directory (tests, harnesses).
     pub fn at(dir: PathBuf) -> Self {
         Self { dir }
     }
@@ -293,11 +293,12 @@ impl ResultCache {
     ) {
         let hex = format!("{key:032x}");
         let entry = format!(
-            "{{\"key\":\"{hex}\",\"kind\":\"point\",\"point\":\"{point}\",\
+            "{{\"key\":\"{hex}\",\"kind\":\"point\",\"point\":\"{}\",\
              \"config\":\"{}\",\"budget\":\"{}\",\"salt\":\"{CACHE_SALT}\",\
              \"stats\":{}}}\n",
-            config.describe(),
-            budget.label(),
+            json_escape(point),
+            json_escape(&config.describe()),
+            json_escape(budget.label()),
             stats_to_json(stats),
         );
         self.commit_entry(&hex, "point", point, config, budget, &entry);
@@ -323,11 +324,12 @@ impl ResultCache {
     ) {
         let hex = format!("{key:032x}");
         let entry = format!(
-            "{{\"key\":\"{hex}\",\"kind\":\"derived\",\"point\":\"{tag}\",\
+            "{{\"key\":\"{hex}\",\"kind\":\"derived\",\"point\":\"{}\",\
              \"config\":\"{}\",\"budget\":\"{}\",\"salt\":\"{CACHE_SALT}\",\
              \"value_bits\":{}}}\n",
-            config.describe(),
-            budget.label(),
+            json_escape(tag),
+            json_escape(&config.describe()),
+            json_escape(budget.label()),
             value.to_bits(),
         );
         self.commit_entry(&hex, "derived", tag, config, budget, &entry);
@@ -349,10 +351,11 @@ impl ResultCache {
             return;
         }
         let index_row = format!(
-            "{{\"key\":\"{hex}\",\"kind\":\"{kind}\",\"point\":\"{point}\",\
+            "{{\"key\":\"{hex}\",\"kind\":\"{kind}\",\"point\":\"{}\",\
              \"config\":\"{}\",\"budget\":\"{}\"}}",
-            config.describe(),
-            budget.label(),
+            json_escape(point),
+            json_escape(&config.describe()),
+            json_escape(budget.label()),
         );
         if let Err(e) = self.merge_index(&index_row) {
             eprintln!("warning: cache index update failed: {e}");
@@ -432,28 +435,11 @@ impl MatrixOutcome {
 /// Prints one `cache: served N, simulated M` summary line. With
 /// `CARF_CACHE_REQUIRE_WARM` set, exits 3 if any point simulated.
 pub fn run_matrix_cached(points: &[(SimConfig, Suite)], budget: &Budget) -> MatrixOutcome {
-    let cache = ResultCache::from_env();
-    let outcome = run_matrix_with_cache(points, budget, cache.as_ref());
-    println!("{}", outcome.summary());
-    if outcome.simulated > 0 && require_warm() {
-        fail_cold(outcome.simulated);
-    }
-    outcome
-}
-
-/// [`run_matrix_cached`] against an explicit cache (`None` = bypass).
-/// Does not print and does not enforce `CARF_CACHE_REQUIRE_WARM` — the
-/// daemon and tests drive this directly.
-pub fn run_matrix_with_cache(
-    points: &[(SimConfig, Suite)],
-    budget: &Budget,
-    cache: Option<&ResultCache>,
-) -> MatrixOutcome {
     let custom: Vec<(SimConfig, Suite, Vec<Workload>)> = points
         .iter()
         .map(|(config, suite)| (config.clone(), *suite, crate::suite_workloads(*suite)))
         .collect();
-    run_custom_with_cache(&custom, budget, cache)
+    run_custom_cached(&custom, budget)
 }
 
 /// [`run_matrix_cached`] over explicit workload lists instead of the
@@ -696,11 +682,11 @@ impl ResultCache {
             "{{\"key\":\"{hex}\",\"kind\":\"multi\",\"point\":\"{}\",\
              \"policy\":\"{}\",\"config\":\"{}\",\"budget\":\"{}\",\
              \"salt\":\"{CACHE_SALT}\",\"threads\":\"{}\"}}\n",
-            point.label,
-            point.policy.canonical(),
-            config.describe(),
-            budget.label(),
-            packed.join(","),
+            json_escape(&point.label),
+            json_escape(&point.policy.canonical()),
+            json_escape(&config.describe()),
+            json_escape(budget.label()),
+            json_escape(&packed.join(",")),
         );
         self.commit_entry(&hex, "multi", &point.label, config, budget, &entry);
     }

@@ -2,7 +2,7 @@
 //!
 //! Every binary takes the common budget flags (`--quick`, `--full`,
 //! `--jobs N`); a few add extra options (`--suite`, `--machine`,
-//! `--window`, `--snapshot`) or positional operands. [`CliSpec`]
+//! `--window`, `--timeline`) or positional operands. [`CliSpec`]
 //! centralizes the scan so each binary declares only what is specific to
 //! it and inherits, for free:
 //!
@@ -14,7 +14,7 @@
 //!   [`Budget::parse_args`].
 //!
 //! Binaries with no extra options call [`budget_for`]; the richer ones
-//! (`bench_kips`, `carf-trace`) build a [`CliSpec`] and interpret the
+//! (`carf-as`, `carf-trace`) build a [`CliSpec`] and interpret the
 //! returned occurrences.
 
 use crate::Budget;

@@ -3,14 +3,13 @@
 //! The scheduler-equivalence table — every workload × {baseline,
 //! unlimited, carf} machine at a fixed instruction cap, folded to one
 //! FNV-1a word per point — started life inside
-//! `tests/scheduler_equivalence.rs`. The perf-regression gate
-//! ([`crate::gate`], `bench_kips --gate`) needs the same sweep at release
-//! speed, so the table and its machinery live here and the test asserts
-//! through this module.
+//! `tests/scheduler_equivalence.rs`, which asserts through this module
+//! (serial and parallel, traced and untraced). [`stats_hash`] is the same
+//! fold the benchmark harness uses to pin its own runs.
 //!
 //! Any intentional timing-model change re-pins via the ignored
-//! `print_pinned_table` test; an *unintentional* drift fails both the
-//! tier-1 test suite and the gate.
+//! `print_pinned_table` test; an *unintentional* drift fails the tier-1
+//! test suite.
 
 use carf_core::CarfParams;
 use carf_sim::{
@@ -167,7 +166,7 @@ pub const PINNED: &[(&str, u64, u64)] = &[
 ];
 
 /// Compares a [`sweep`] result against [`PINNED`]. The error lists every
-/// drifted point (name, got, pinned), so a gate failure is immediately
+/// drifted point (name, got, pinned), so a failure is immediately
 /// actionable.
 pub fn check_pinned(got: &[(String, u64, u64)]) -> Result<(), String> {
     check_rows(got, PINNED)

@@ -28,20 +28,15 @@ pub mod cli;
 pub mod corpus;
 pub mod fingerprint;
 pub mod fsio;
-pub mod gate;
 pub mod parallel;
 pub mod sample;
-pub mod serve;
 pub mod statsio;
 
 pub use cache::{
     run_custom_cached, run_matrix_cached, run_multi_cached, workload_identity, CacheStatus,
     MatrixOutcome, MultiOutcome, MultiPoint, MultiThreadRecord, ResultCache,
 };
-pub use parallel::{
-    geomean_kips, peak_kips, results_dir, run_ordered, timing_record, write_merged_record,
-    write_timing_json, PointTiming,
-};
+pub use parallel::{results_dir, run_ordered, write_merged_record, write_timing_json};
 
 /// Per-run instruction budget, workload sizing, and harness parallelism.
 #[derive(Debug, Clone, Copy)]

@@ -125,7 +125,9 @@ pub fn take_points() -> Vec<PointTiming> {
     std::mem::take(&mut *POINTS.lock().expect("timing collector poisoned"))
 }
 
-fn json_escape(s: &str) -> String {
+/// `s` as the body of a JSON string: quotes, backslashes, and control
+/// characters escaped, everything else (plain names) unchanged.
+pub fn json_escape(s: &str) -> String {
     let mut out = String::with_capacity(s.len());
     for c in s.chars() {
         match c {
@@ -162,7 +164,7 @@ pub fn results_dir() -> PathBuf {
 }
 
 /// The workspace root, anchored from this crate's manifest directory at
-/// compile time (committed artifacts like `BENCH_after.json` live here).
+/// compile time (the default `results/` lives here).
 pub fn workspace_root() -> PathBuf {
     // crates/bench -> crates -> workspace root
     Path::new(env!("CARGO_MANIFEST_DIR"))
@@ -440,8 +442,7 @@ pub fn write_timing_json(budget: &Budget) -> PathBuf {
 /// jobs) key before the oldest rotates out.
 pub const TIMING_KEEP_RUNS: usize = 3;
 
-/// Formats one `bench_timing.json` record (exposed for the snapshot
-/// harness, which writes the same shape to a standalone file).
+/// Formats one `bench_timing.json` record.
 pub fn timing_record(
     bin: &str,
     budget_label: &str,

@@ -1,5 +1,4 @@
-//! Exact, lossless [`SimStats`] serialization for the result cache and the
-//! `carf-serve` wire protocol.
+//! Exact, lossless [`SimStats`] serialization for the result cache.
 //!
 //! The encoding is a single-line JSON object of dotted scalar fields.
 //! Counters are plain integers; every `f64` is stored as its IEEE-754 bit

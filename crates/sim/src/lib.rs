@@ -59,7 +59,6 @@ mod lsq;
 mod multi;
 mod rename;
 mod sim;
-mod smt;
 mod stats;
 mod trace;
 
@@ -68,12 +67,10 @@ pub use config::{BpredConfig, RegFileKind, SimConfig};
 pub use fu::FuPool;
 pub use lsq::{LoadDecision, LoadStoreQueue, LsqEntry, LsqFull, MemDepPolicy};
 pub use rename::{Preg, RenameTables};
-pub use sim::{AnySimulator, InstTimeline, RegFileBackend, SimError, SimResult, Simulator, WarmEvent, WarmState};
+pub use sim::{AnySimulator, RegFileBackend, SimError, SimResult, Simulator, WarmEvent, WarmState};
 pub use multi::{ContentionStats, FetchArbitration, MultiSim, MultiThreadResult, SharingPolicy};
-#[allow(deprecated)]
-pub use smt::{SharedLongSmt, SmtThreadResult};
 pub use stats::{DispatchStalls, OperandMix, OracleData, SimStats};
 pub use trace::{
-    DispatchStallCause, LatencyHistogram, NopTracer, SquashReason, StageHistograms, StallCause,
-    StallReport, TraceCounters, TraceEvent, TraceRecorder, Tracer,
+    DispatchStallCause, InstTimeline, LatencyHistogram, NopTracer, SquashReason, StageHistograms,
+    StallCause, StallReport, TraceCounters, TraceEvent, TraceRecorder, Tracer,
 };

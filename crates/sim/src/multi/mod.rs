@@ -2,12 +2,12 @@
 //! shared-resource policies.
 //!
 //! The paper's §6 suggests that "a smaller number of long registers can
-//! feed more than one thread". [`SharedLongSmt`](crate::SharedLongSmt)
-//! first tested that with two content-aware pipelines; this module is
-//! the generalization: [`MultiSim`] runs any number of contexts — each
-//! an [`AnySimulator`] over any [`RegFileKind`](crate::RegFileKind), any
-//! program, its own [`SimConfig`] — in lockstep, and a
-//! [`SharingPolicy`] decides which physical resources they compete for:
+//! feed more than one thread". A lockstep pair of content-aware pipelines
+//! first tested that; this module is the generalization: [`MultiSim`]
+//! runs any number of contexts — each an [`AnySimulator`] over any
+//! [`RegFileKind`](crate::RegFileKind), any program, its own
+//! [`SimConfig`] — in lockstep, and a [`SharingPolicy`] decides which
+//! physical resources they compete for:
 //!
 //! * **Shared Long file** — each cycle every context's Long file is
 //!   windowed to the shared capacity minus the co-runners' live entries,
@@ -472,8 +472,9 @@ mod tests {
         .unwrap();
         let new = multi.run(max_cycles, per_thread).unwrap();
 
-        // Reference: the original SharedLongSmt loop, recounting every
-        // context's live Long entries at the top of every cycle.
+        // Reference: the original two-pipeline shared-Long loop,
+        // recounting every context's live Long entries at the top of
+        // every cycle.
         let mut sims: Vec<AnySimulator> =
             progs.iter().map(|p| AnySimulator::new(carf_cfg(), p)).collect();
         let mut done = vec![false; sims.len()];

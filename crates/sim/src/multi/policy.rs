@@ -10,9 +10,8 @@
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FetchArbitration {
     /// Every context fetches every cycle (no front-end contention; the
-    /// multi-core flavor, and the historical [`SharedLongSmt`] behavior).
-    ///
-    /// [`SharedLongSmt`]: crate::SharedLongSmt
+    /// multi-core flavor, and the original two-pipeline shared-Long
+    /// behavior).
     Free,
     /// `slots` contexts fetch per cycle, granted in rotating order
     /// starting after the last grant (a fair fixed-partition front end).

@@ -189,16 +189,6 @@ impl<T: Tracer> AnySimulator<T> {
         dispatch!(self, sim => sim.attach_shared_l2(handle));
     }
 
-    /// See [`Simulator::record_timeline`].
-    pub fn record_timeline(&mut self, limit: usize) {
-        dispatch!(self, sim => sim.record_timeline(limit));
-    }
-
-    /// See [`Simulator::timeline`].
-    pub fn timeline(&self) -> &[InstTimeline] {
-        dispatch!(self, sim => sim.timeline())
-    }
-
     /// The integer register file, behind the common interface. The
     /// defaulted [`IntRegFile`] hooks (CARF introspection, occupancy
     /// reports, SMT capacity limiting) replace per-backend type escape hatches.

@@ -148,9 +148,6 @@ impl<R: IntRegFile, T: Tracer> Simulator<R, T> {
                 branch_unresolved: takes_checkpoint,
                 wb_fail_cycles: 0,
                 cond_pred: fetched.cond_pred,
-                dispatched_at: self.now,
-                issued_at: 0,
-                executed_at: 0,
             });
             if T::ENABLED {
                 self.tracer.event(TraceEvent::Dispatch {

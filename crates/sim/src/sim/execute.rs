@@ -137,7 +137,6 @@ impl<R: IntRegFile, T: Tracer> Simulator<R, T> {
             None => {
                 let idx = self.slot_index(seq).expect("slot vanished");
                 self.rob[idx].state = SlotState::Completed;
-                self.rob[idx].executed_at = self.now;
                 if T::ENABLED {
                     self.tracer.event(TraceEvent::Execute { cycle: self.now, seq });
                 }
@@ -156,7 +155,6 @@ impl<R: IntRegFile, T: Tracer> Simulator<R, T> {
     pub(super) fn complete_with_result(&mut self, seq: u64, value: u64) {
         let idx = self.slot_index(seq).expect("slot vanished");
         self.rob[idx].result = value;
-        self.rob[idx].executed_at = self.now;
         if T::ENABLED {
             self.tracer.event(TraceEvent::Execute { cycle: self.now, seq });
         }

@@ -232,7 +232,6 @@ impl<R: IntRegFile, T: Tracer> Simulator<R, T> {
 
             // Selected.
             self.rob[idx].state = SlotState::Issued;
-            self.rob[idx].issued_at = self.now;
             self.rob[idx].src_from_rf = from_rf;
             if T::ENABLED {
                 self.tracer.event(TraceEvent::Issue { cycle: self.now, seq });

@@ -188,37 +188,6 @@ pub struct SimResult {
     pub ipc: f64,
 }
 
-/// Stage-by-stage timing of one committed instruction (see
-/// [`Simulator::timeline`]).
-#[derive(Debug, Clone)]
-pub struct InstTimeline {
-    /// Program-order sequence number.
-    pub seq: u64,
-    /// Instruction address.
-    pub pc: u64,
-    /// Disassembly.
-    pub text: String,
-    /// Cycle the instruction entered the ROB.
-    pub dispatched: u64,
-    /// Cycle it was selected for execution (0 for no-exec ops).
-    pub issued: u64,
-    /// Cycle its result was produced (0 for no-result ops).
-    pub executed: u64,
-    /// Cycle it retired.
-    pub committed: u64,
-}
-
-impl std::fmt::Display for InstTimeline {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(
-            f,
-            "{:>6} {:#010x} D{:<6} I{:<6} E{:<6} C{:<6} {}",
-            self.seq, self.pc, self.dispatched, self.issued, self.executed, self.committed,
-            self.text
-        )
-    }
-}
-
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Src {
     None,
@@ -276,9 +245,6 @@ struct Slot {
     branch_unresolved: bool,
     wb_fail_cycles: u32,
     cond_pred: Option<CondPrediction>,
-    dispatched_at: u64,
-    issued_at: u64,
-    executed_at: u64,
 }
 
 impl Slot {
@@ -423,8 +389,6 @@ pub struct Simulator<R: IntRegFile, T: Tracer = NopTracer> {
     read_stages: u64,
     wb_stages: u64,
     full_bypass: bool,
-    timeline: Vec<InstTimeline>,
-    timeline_limit: usize,
     stats: SimStats,
     tracer: T,
 }
@@ -729,8 +693,6 @@ impl<R: RegFileBackend, T: Tracer> Simulator<R, T> {
             read_stages,
             wb_stages,
             full_bypass,
-            timeline: Vec::new(),
-            timeline_limit: 0,
             stats: SimStats::default(),
             tracer,
             program: program.clone(),
@@ -775,19 +737,6 @@ impl<R: IntRegFile, T: Tracer> Simulator<R, T> {
     /// after a run).
     pub fn into_tracer(self) -> T {
         self.tracer
-    }
-
-    /// Records the pipeline timeline of the first `limit` committed
-    /// instructions (dispatch/issue/execute/commit cycles). Call before
-    /// [`Simulator::run`]; retrieve with [`Simulator::timeline`].
-    pub fn record_timeline(&mut self, limit: usize) {
-        self.timeline_limit = limit;
-        self.timeline.reserve(limit);
-    }
-
-    /// The recorded per-instruction timelines, in commit order.
-    pub fn timeline(&self) -> &[InstTimeline] {
-        &self.timeline
     }
 
     /// The integer register file (for inspection in tests and experiments).

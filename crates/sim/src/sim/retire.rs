@@ -119,17 +119,6 @@ impl<R: IntRegFile, T: Tracer> Simulator<R, T> {
                 pc: slot.pc,
             });
         }
-        if self.timeline.len() < self.timeline_limit {
-            self.timeline.push(InstTimeline {
-                seq: slot.seq,
-                pc: slot.pc,
-                text: slot.inst.to_string(),
-                dispatched: slot.dispatched_at,
-                issued: slot.issued_at,
-                executed: slot.executed_at,
-                committed: self.now,
-            });
-        }
         match slot.kind {
             InstKind::Load => self.stats.loads += 1,
             InstKind::Store => self.stats.stores += 1,

@@ -410,7 +410,26 @@ mod pipeline_tests {
 #[cfg(test)]
 mod timeline_tests {
     use crate::sim::*;
+    use crate::trace::{InstTimeline, TraceRecorder};
     use carf_isa::{x, Asm};
+
+    /// The lifetimes a whole-run recorder window collects, in retire order.
+    fn lifetimes(program: &Program, max_insts: u64) -> Vec<InstTimeline> {
+        let recorder = TraceRecorder::with_window(0, u64::MAX);
+        let mut sim = AnySimulator::with_tracer(SimConfig::test_small(), program, recorder);
+        sim.run(max_insts).unwrap();
+        sim.tracer().lifetimes().to_vec()
+    }
+
+    fn countdown(n: u64) -> Program {
+        let mut asm = Asm::new();
+        asm.li(x(1), n);
+        asm.label("l");
+        asm.addi(x(1), x(1), -1);
+        asm.bne(x(1), x(0), "l");
+        asm.halt();
+        asm.finish().unwrap()
+    }
 
     #[test]
     fn timeline_records_stage_ordering() {
@@ -419,12 +438,7 @@ mod timeline_tests {
         asm.add(x(2), x(1), x(1));
         asm.mul(x(3), x(2), x(2));
         asm.halt();
-        let program = asm.finish().unwrap();
-        let mut sim = AnySimulator::new(SimConfig::test_small(), &program);
-        sim.record_timeline(16);
-        sim.run(1_000).unwrap();
-
-        let tl = sim.timeline();
+        let tl = lifetimes(&asm.finish().unwrap(), 1_000);
         assert_eq!(tl.len(), 4);
         // Commit order equals program order here.
         for w in tl.windows(2) {
@@ -444,29 +458,29 @@ mod timeline_tests {
     }
 
     #[test]
-    fn timeline_limit_caps_recording() {
-        let mut asm = Asm::new();
-        asm.li(x(1), 50);
-        asm.label("l");
-        asm.addi(x(1), x(1), -1);
-        asm.bne(x(1), x(0), "l");
-        asm.halt();
-        let program = asm.finish().unwrap();
-        let mut sim = AnySimulator::new(SimConfig::test_small(), &program);
-        sim.record_timeline(5);
-        sim.run(10_000).unwrap();
-        assert_eq!(sim.timeline().len(), 5);
+    fn timeline_cap_keeps_the_first_lifetimes() {
+        // A run stopped once N instructions commit (how `carf-as
+        // --timeline N` bounds its recording) sees the same first N
+        // lifetimes as a run to completion.
+        let program = countdown(50);
+        let full = lifetimes(&program, 10_000);
+        let capped = lifetimes(&program, 5);
+        assert!(capped.len() >= 5 && capped.len() < full.len(), "{}", capped.len());
+        assert_eq!(capped[..5], full[..5]);
     }
 
     #[test]
-    fn timeline_off_by_default() {
-        let mut asm = Asm::new();
-        asm.li(x(1), 1);
-        asm.halt();
-        let program = asm.finish().unwrap();
-        let mut sim = AnySimulator::new(SimConfig::test_small(), &program);
-        sim.run(100).unwrap();
-        assert!(sim.timeline().is_empty());
+    fn timeline_off_outside_the_window() {
+        // Lifetimes are kept only for dispatches inside the window, while
+        // the counters still cover the whole run.
+        let mut sim = AnySimulator::with_tracer(
+            SimConfig::test_small(),
+            &countdown(3),
+            TraceRecorder::with_window(0, 0),
+        );
+        let result = sim.run(100).unwrap();
+        assert!(sim.tracer().lifetimes().is_empty());
+        assert_eq!(sim.tracer().counters().retired, result.committed);
     }
 }
 

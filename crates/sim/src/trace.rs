@@ -363,16 +363,38 @@ pub struct TraceCounters {
     pub wr1_long: u64,
 }
 
-#[derive(Debug, Clone, Copy)]
-struct InstLife {
-    seq: u64,
-    pc: u64,
-    inst: Inst,
-    kind: InstKind,
-    dispatched: u64,
-    issued: u64,
-    executed: u64,
-    retired: u64,
+/// Stage-by-stage timing of one retired instruction, as folded from the
+/// event stream by [`TraceRecorder`] (see [`TraceRecorder::lifetimes`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct InstTimeline {
+    /// Program-order sequence number.
+    pub seq: u64,
+    /// Instruction address.
+    pub pc: u64,
+    /// The instruction (disassembles via `Display`).
+    pub inst: Inst,
+    /// Cycle the instruction entered the ROB.
+    pub dispatched: u64,
+    /// Cycle of its *first* selection for execution; a replayed
+    /// instruction keeps it (0 for no-exec ops).
+    pub issued: u64,
+    /// Cycle of its last [`TraceEvent::Execute`]: the result for loads
+    /// and computing ops, address generation for stores (0 for no-exec
+    /// ops).
+    pub executed: u64,
+    /// Cycle it retired.
+    pub committed: u64,
+}
+
+impl std::fmt::Display for InstTimeline {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(
+            f,
+            "{:>6} {:#010x} D{:<6} I{:<6} E{:<6} C{:<6} {}",
+            self.seq, self.pc, self.dispatched, self.issued, self.executed, self.committed,
+            self.inst
+        )
+    }
 }
 
 #[derive(Debug, Clone, Copy)]
@@ -396,8 +418,8 @@ pub struct TraceRecorder {
     buckets: [u64; StallCause::ALL.len()],
     total_cycles: u64,
     counters: TraceCounters,
-    inflight: BTreeMap<u64, InstLife>,
-    slices: Vec<InstLife>,
+    inflight: BTreeMap<u64, InstTimeline>,
+    slices: Vec<InstTimeline>,
     samples: Vec<CycleSample>,
     histograms: StageHistograms,
 }
@@ -454,6 +476,12 @@ impl TraceRecorder {
         &self.histograms
     }
 
+    /// The lifetimes of retired instructions dispatched inside the
+    /// window, in retire order.
+    pub fn lifetimes(&self) -> &[InstTimeline] {
+        &self.slices
+    }
+
     /// The per-cycle stall attribution. Its buckets sum to
     /// [`Self::cycles`] by construction.
     pub fn stall_report(&self) -> StallReport {
@@ -481,7 +509,7 @@ impl TraceRecorder {
                 .into(),
         ));
 
-        let mut slices: Vec<&InstLife> = self.slices.iter().collect();
+        let mut slices: Vec<&InstTimeline> = self.slices.iter().collect();
         slices.sort_by_key(|l| (l.dispatched, l.seq));
         // Greedy lane packing: each lane is a tid; an instruction takes
         // the first lane free at its dispatch cycle.
@@ -494,7 +522,7 @@ impl TraceRecorder {
                     lane_busy_until.len() - 1
                 }
             };
-            let dur = life.retired.saturating_sub(life.dispatched).max(1);
+            let dur = life.committed.saturating_sub(life.dispatched).max(1);
             lane_busy_until[lane] = life.dispatched + dur;
             events.push((
                 life.dispatched,
@@ -504,7 +532,7 @@ impl TraceRecorder {
                      \"pid\":1,\"tid\":{},\"args\":{{\"seq\":{},\"pc\":{},\"issued\":{},\
                      \"executed\":{}}}}}",
                     json_escape(&life.inst.to_string()),
-                    life.kind,
+                    life.inst.kind(),
                     life.dispatched,
                     dur,
                     lane + 1,
@@ -600,19 +628,18 @@ impl Tracer for TraceRecorder {
     fn event(&mut self, event: TraceEvent) {
         match event {
             TraceEvent::Fetch { .. } => self.counters.fetched += 1,
-            TraceEvent::Dispatch { cycle, seq, pc, inst, kind } => {
+            TraceEvent::Dispatch { cycle, seq, pc, inst, .. } => {
                 self.counters.dispatched += 1;
                 self.inflight.insert(
                     seq,
-                    InstLife {
+                    InstTimeline {
                         seq,
                         pc,
                         inst,
-                        kind,
                         dispatched: cycle,
                         issued: 0,
                         executed: 0,
-                        retired: 0,
+                        committed: 0,
                     },
                 );
             }
@@ -647,7 +674,7 @@ impl Tracer for TraceRecorder {
             TraceEvent::Retire { cycle, seq, .. } => {
                 self.counters.retired += 1;
                 if let Some(mut life) = self.inflight.remove(&seq) {
-                    life.retired = cycle;
+                    life.committed = cycle;
                     if life.issued > 0 {
                         self.histograms
                             .dispatch_to_issue

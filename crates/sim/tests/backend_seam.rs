@@ -8,11 +8,9 @@ use carf_core::{
     BaselineRegFile, CarfParams, CompressedRegFile, ContentAwareRegFile, PortReducedParams,
     PortReducedRegFile, ValueClass,
 };
-// `SharedLongSmt` is deprecated (a thin wrapper over `MultiSim`); this
-// file keeps one test against it so the compatibility shim stays covered.
-#[allow(deprecated)]
-use carf_sim::SharedLongSmt;
-use carf_sim::{AnySimulator, SimConfig, SimStats, Simulator};
+use carf_sim::{
+    AnySimulator, MultiSim, MultiThreadResult, SharingPolicy, SimConfig, SimStats, Simulator,
+};
 use carf_workloads::{random_program, RandomProgramParams};
 use carf_isa::Program;
 
@@ -203,7 +201,6 @@ fn baseline_backend_rejects_a_carf_config() {
 /// deterministic, and an aggressive shared capacity must actually bite
 /// (more Long-guard stalls than private files).
 #[test]
-#[allow(deprecated)]
 fn smt_shared_long_capacity_still_bites_through_the_hooks() {
     let mk = |seed: u64| {
         random_program(&RandomProgramParams {
@@ -219,8 +216,11 @@ fn smt_shared_long_capacity_still_bites_through_the_hooks() {
     let cfg = SimConfig::paper_carf(CarfParams::paper_default());
 
     let run = |capacity: usize| {
-        let mut smt =
-            SharedLongSmt::new(vec![(cfg.clone(), &a), (cfg.clone(), &b)], capacity).unwrap();
+        let mut smt = MultiSim::new(
+            vec![(cfg.clone(), &a), (cfg.clone(), &b)],
+            SharingPolicy::shared_long(capacity),
+        )
+        .unwrap();
         smt.run(2_000_000, 100_000).expect("clean smt run")
     };
 
@@ -233,7 +233,7 @@ fn smt_shared_long_capacity_still_bites_through_the_hooks() {
     }
 
     let squeezed = run(40);
-    let stalls = |r: &[carf_sim::SmtThreadResult]| -> u64 {
+    let stalls = |r: &[MultiThreadResult]| -> u64 {
         r.iter().map(|t| t.long_guard_stall_cycles).sum()
     };
     assert!(

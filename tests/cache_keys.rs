@@ -10,7 +10,9 @@
 //! changed address). (b) is the perturbation battery. (c) holds by
 //! construction — `canonical_config` writes every field explicitly in a
 //! code-defined order — and the pinned canonical text locks that order
-//! independent of the struct declaration.
+//! independent of the struct declaration. Last, a key is only served if
+//! its entry parses: names written into entries, the index and
+//! `corpus_runs.json` must come out as valid JSON strings.
 
 use carf_bench::cache::{canonical_config, point_key, point_key_text, workload_identity};
 use carf_bench::sample::SampleSpec;
@@ -256,6 +258,133 @@ fn corpus_cache_identity_tracks_program_text_and_entry() {
     // above are untouched by the corpus machinery.
     let synthetic = &carf_workloads::int_suite()[0];
     assert_eq!(workload_identity(synthetic), synthetic.name);
+}
+
+/// Whether `text` is one well-formed JSON value (RFC 8259 grammar);
+/// `Err` carries the byte offset of the first violation.
+fn check_json(text: &str) -> Result<(), usize> {
+    fn ws(b: &[u8], mut i: usize) -> usize {
+        while i < b.len() && b" \t\r\n".contains(&b[i]) {
+            i += 1;
+        }
+        i
+    }
+    fn string(b: &[u8], i: usize) -> Result<usize, usize> {
+        if b.get(i) != Some(&b'"') {
+            return Err(i);
+        }
+        let mut i = i + 1;
+        loop {
+            match b.get(i) {
+                Some(b'"') => return Ok(i + 1),
+                Some(b'\\') => {
+                    let hex = |h: &[u8]| h.iter().all(u8::is_ascii_hexdigit);
+                    match b.get(i + 1) {
+                        Some(b'"' | b'\\' | b'/' | b'b' | b'f' | b'n' | b'r' | b't') => i += 2,
+                        Some(b'u') if b.get(i + 2..i + 6).is_some_and(hex) => i += 6,
+                        _ => return Err(i),
+                    }
+                }
+                Some(c) if *c >= 0x20 => i += 1,
+                _ => return Err(i),
+            }
+        }
+    }
+    fn items(
+        b: &[u8],
+        i: usize,
+        close: u8,
+        item: fn(&[u8], usize) -> Result<usize, usize>,
+    ) -> Result<usize, usize> {
+        let mut i = ws(b, i);
+        if b.get(i) == Some(&close) {
+            return Ok(i + 1);
+        }
+        loop {
+            i = ws(b, item(b, i)?);
+            match b.get(i) {
+                Some(b',') => i += 1,
+                Some(c) if *c == close => return Ok(i + 1),
+                _ => return Err(i),
+            }
+        }
+    }
+    fn member(b: &[u8], i: usize) -> Result<usize, usize> {
+        let i = ws(b, string(b, ws(b, i))?);
+        if b.get(i) != Some(&b':') {
+            return Err(i);
+        }
+        value(b, i + 1)
+    }
+    fn value(b: &[u8], i: usize) -> Result<usize, usize> {
+        let i = ws(b, i);
+        match b.get(i) {
+            Some(b'{') => items(b, i + 1, b'}', member),
+            Some(b'[') => items(b, i + 1, b']', value),
+            Some(b'"') => string(b, i),
+            _ => {
+                for lit in ["true", "false", "null"] {
+                    if b[i..].starts_with(lit.as_bytes()) {
+                        return Ok(i + lit.len());
+                    }
+                }
+                let end = i + b[i..].iter().take_while(|c| b"-+.eE0123456789".contains(c)).count();
+                let num = std::str::from_utf8(&b[i..end]).map_err(|_| i)?;
+                let digits = num.strip_prefix('-').unwrap_or(num);
+                let leading_zero =
+                    digits.len() > 1 && digits.starts_with('0') && !digits.starts_with("0.");
+                if !digits.starts_with(|c: char| c.is_ascii_digit())
+                    || leading_zero
+                    || num.parse::<f64>().is_err()
+                {
+                    return Err(i);
+                }
+                Ok(end)
+            }
+        }
+    }
+    let b = text.as_bytes();
+    let end = ws(b, value(b, 0)?);
+    if end == b.len() {
+        Ok(())
+    } else {
+        Err(end)
+    }
+}
+
+#[test]
+fn quoted_program_names_are_served_warm_and_stay_valid_json() {
+    // A corpus program's name is its file stem, so it reaches the cache
+    // entry, the cache index, and `corpus_runs.json` as a JSON string.
+    let root = std::env::temp_dir().join(format!("carf-escape-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&root);
+    std::fs::create_dir_all(&root).expect("temp dir");
+    let source = root.join("we\"i\\rd.s");
+    std::fs::write(&source, ".globl _start\n_start:\n    li x10, 7\n    halt\n").expect("source");
+    let results = root.join("results");
+    let run = |require_warm: &str| {
+        let out = std::process::Command::new(env!("CARGO_BIN_EXE_carf-as"))
+            .args(["--quick", "--jobs", "1", "--machine", "base"])
+            .arg(&source)
+            .env("CARF_RESULTS_DIR", &results)
+            .env("CARF_CACHE_REQUIRE_WARM", require_warm)
+            .env_remove("CARF_CACHE")
+            .output()
+            .expect("spawn carf-as");
+        let stdout = String::from_utf8_lossy(&out.stdout).into_owned();
+        assert!(out.status.success(), "{stdout}{}", String::from_utf8_lossy(&out.stderr));
+        stdout
+    };
+    assert!(run("0").contains("cache: served 0, simulated 1"));
+    assert!(run("1").contains("cache: served 1, simulated 0"));
+    for file in [results.join("cache").join("index.json"), results.join("corpus_runs.json")] {
+        let text = std::fs::read_to_string(&file).expect("written");
+        assert_eq!(check_json(&text), Ok(()), "{}:\n{text}", file.display());
+        assert!(text.contains(r#"we\"i\\rd"#), "{text}");
+    }
+    // The checker does reject an unescaped quote inside a string.
+    assert!(check_json(r#"[{"point": "Int/we"i\rd"}]"#).is_err());
+    std::fs::remove_dir_all(&root).expect("cleanup");
 }
 
 #[test]

@@ -1,8 +1,8 @@
 //! Scheduler-equivalence pinning: the event-driven scheduler rewrite must
 //! be performance-only. Every workload × machine configuration fingerprint
-//! is pinned in `carf_bench::fingerprint` (shared with the perf gate), and
-//! the same fingerprints must come out **bit-identical** traced and
-//! untraced, serial (jobs=1) and parallel (jobs=4).
+//! is pinned in `carf_bench::fingerprint`, and the same fingerprints must
+//! come out **bit-identical** traced and untraced, serial (jobs=1) and
+//! parallel (jobs=4).
 //!
 //! A post-rewrite old-vs-new differential harness is impossible (the old
 //! scan-based scheduler is gone), so the pinned table *is* the old
