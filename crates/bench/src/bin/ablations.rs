@@ -142,5 +142,5 @@ fn main() {
     let guard_cycles: u64 = ref_stats.iter().map(|s| s.long_guard_stall_cycles).sum();
     println!("\nwith the paper's guard: {recoveries} pseudo-deadlock recoveries,");
     println!("{guard_cycles} guarded issue cycles across both suites.");
-    write_timing_json(&budget);
+    carf_bench::parallel::exit_on_write_error(write_timing_json(&budget));
 }

@@ -16,6 +16,7 @@
 //! through a [`TraceRecorder`] and prints their stage cycles.
 
 use carf_bench::cli::{CliSpec, MachineSet, OptSpec};
+use carf_bench::json::Value;
 use carf_bench::{cache, corpus, parallel};
 use carf_core::CarfParams;
 use carf_isa::Machine;
@@ -200,6 +201,7 @@ fn main() {
         .collect();
     let outcome = cache::run_custom_cached(&points, &budget);
 
+    let mut records = Vec::new();
     for ((label, _), result) in configs.iter().zip(&outcome.results) {
         println!("\n[{label}] corpus, budget {}", budget.label());
         println!(
@@ -228,25 +230,23 @@ fn main() {
                 stats.cycles,
                 stats.ipc(),
             );
-            let record = format!(
-                "{{\"program\": \"{}\", \"machine\": \"{}\", \
-                 \"budget\": \"{}\", \"committed\": {}, \"cycles\": {}, \
-                 \"ipc\": {:.6}, \"simple\": {}, \"short\": {}, \"long\": {}}}",
-                parallel::json_escape(name),
-                parallel::json_escape(label),
-                parallel::json_escape(budget.label()),
-                stats.committed,
-                stats.cycles,
-                stats.ipc(),
-                writes.simple,
-                writes.short,
-                writes.long,
-            );
-            parallel::write_merged_record(
-                "corpus_runs.json",
-                &record,
-                &["program", "machine", "budget"],
-            );
+            records.push(Value::object([
+                ("program", name.as_str().into()),
+                ("machine", label.as_str().into()),
+                ("budget", budget.label().into()),
+                ("committed", stats.committed.into()),
+                ("cycles", stats.cycles.into()),
+                ("ipc", Value::fixed(stats.ipc(), 6)),
+                ("simple", writes.simple.into()),
+                ("short", writes.short.into()),
+                ("long", writes.long.into()),
+            ]));
         }
     }
+    parallel::exit_on_write_error(parallel::write_records(
+        "corpus_runs.json",
+        records,
+        &["program", "machine", "budget"],
+        1,
+    ));
 }

@@ -16,9 +16,8 @@
 //! land in `results/sample_quality.json`.
 
 use carf_bench::cli::{parse_suites, CliSpec, MachineSet, OptSpec};
-use carf_bench::sample::{
-    finite_json_number, relative_error, run_program_sampled, SampledRun, SampleSpec,
-};
+use carf_bench::json::Value;
+use carf_bench::sample::{relative_error, run_program_sampled, SampledRun, SampleSpec};
 use carf_bench::{parallel, print_table, Budget};
 use carf_sim::{AnySimulator, SimConfig};
 use carf_workloads::{Suite, Workload};
@@ -69,31 +68,24 @@ fn run_point(
     Point { machine, workload: workload.name.to_string(), full_ipc: full.ipc, sampled }
 }
 
-fn quality_record(budget: &Budget, spec: &SampleSpec, points: &[Point]) -> String {
-    let mut s = format!(
-        "{{\"bin\":\"carf-sample\",\"budget\":\"{}\",\"spec\":\"{}\",\"points\":[",
-        budget.label(),
-        spec.label()
-    );
-    for (i, p) in points.iter().enumerate() {
-        if i > 0 {
-            s.push(',');
-        }
-        s.push_str(&format!(
-            "{{\"machine\":\"{}\",\"workload\":\"{}\",\"full_ipc\":{},\
-             \"sampled_ipc\":{},\"ci95\":{},\"intervals\":{},\
-             \"detail_fraction\":{}}}",
-            p.machine,
-            p.workload,
-            finite_json_number(p.full_ipc),
-            finite_json_number(p.sampled.ipc()),
-            finite_json_number(p.sampled.ci95()),
-            p.sampled.intervals.len(),
-            finite_json_number(p.sampled.detail_fraction()),
-        ));
-    }
-    s.push_str("]}");
-    s
+fn quality_record(budget: &Budget, spec: &SampleSpec, points: &[Point]) -> Value {
+    let rows = points.iter().map(|p| {
+        Value::object([
+            ("machine", p.machine.into()),
+            ("workload", p.workload.as_str().into()),
+            ("full_ipc", Value::fixed(p.full_ipc, 4)),
+            ("sampled_ipc", Value::fixed(p.sampled.ipc(), 4)),
+            ("ci95", Value::fixed(p.sampled.ci95(), 4)),
+            ("intervals", p.sampled.intervals.len().into()),
+            ("detail_fraction", Value::fixed(p.sampled.detail_fraction(), 4)),
+        ])
+    });
+    Value::object([
+        ("bin", "carf-sample".into()),
+        ("budget", budget.label().into()),
+        ("spec", spec.label().into()),
+        ("points", rows.collect()),
+    ])
 }
 
 fn main() {
@@ -207,12 +199,12 @@ fn main() {
     );
 
     let record = quality_record(&budget, &spec, &points);
-    let path = parallel::write_rotated_record(
+    let path = parallel::exit_on_write_error(parallel::write_records(
         "sample_quality.json",
-        &record,
+        vec![record],
         &["bin", "budget", "spec"],
         parallel::TIMING_KEEP_RUNS,
-    );
+    ));
     println!("quality record -> {}", path.display());
 
     if !failures.is_empty() {

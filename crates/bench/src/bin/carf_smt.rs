@@ -21,6 +21,7 @@
 //! reproduces the record byte-identically.
 
 use carf_bench::cli::{CliSpec, MachineSet, OptSpec};
+use carf_bench::json::Value;
 use carf_bench::{parallel, print_table, run_multi_cached, MultiPoint, MultiThreadRecord};
 use carf_sim::{FetchArbitration, RegFileKind, SharingPolicy, SimConfig};
 use carf_workloads::{all_workloads, Workload};
@@ -210,7 +211,7 @@ fn main() {
     let header: Vec<&str> = header.iter().map(String::as_str).collect();
 
     let mut table: Vec<Vec<String>> = Vec::new();
-    let mut records: Vec<String> = Vec::new();
+    let mut records: Vec<Value> = Vec::new();
     let mut point_iter = points.iter().zip(&outcome.results);
     for (label, _) in &machines {
         for &n in &threads {
@@ -223,25 +224,23 @@ fn main() {
                 cells.push(format!("{:.3}", total_ipc(result)));
                 cells.push(format!("{:.1}%", stall_share(result) * 100.0));
 
-                let ipcs: Vec<String> =
-                    result.iter().map(|r| format!("{:.4}", r.ipc())).collect();
-                let stalls: Vec<String> =
-                    result.iter().map(|r| r.long_guard_stall_cycles.to_string()).collect();
-                records.push(format!(
-                    "{{\"bin\":\"carf-smt\",\"machine\":\"{label}\",\"threads\":{n},\
-                     \"capacity\":{cap},\"l2\":\"{}\",\"fetch\":\"{}\",\
-                     \"budget\":\"{}\",\"workloads\":\"{}\",\
-                     \"ipc\":[{}],\"ipc_total\":{:.4},\"guard_stalls\":[{}],\
-                     \"guard_stall_share\":{:.4}}}",
-                    if shared_l2 { "shared" } else { "private" },
-                    fetch.canonical(),
-                    budget.label(),
-                    names.join("+"),
-                    ipcs.join(","),
-                    total_ipc(result),
-                    stalls.join(","),
-                    stall_share(result),
-                ));
+                records.push(Value::object([
+                    ("bin", "carf-smt".into()),
+                    ("machine", (*label).into()),
+                    ("threads", n.into()),
+                    ("capacity", cap.into()),
+                    ("l2", if shared_l2 { "shared" } else { "private" }.into()),
+                    ("fetch", fetch.canonical().into()),
+                    ("budget", budget.label().into()),
+                    ("workloads", names.join("+").into()),
+                    ("ipc", result.iter().map(|r| Value::fixed(r.ipc(), 4)).collect()),
+                    ("ipc_total", Value::fixed(total_ipc(result), 4)),
+                    (
+                        "guard_stalls",
+                        result.iter().map(|r| r.long_guard_stall_cycles.into()).collect(),
+                    ),
+                    ("guard_stall_share", Value::fixed(stall_share(result), 4)),
+                ]));
             }
             table.push(cells);
         }
@@ -263,15 +262,13 @@ fn main() {
          capacity window has nothing to act on)."
     );
 
-    let mut path = None;
-    for record in &records {
-        path = Some(parallel::write_merged_record(
+    if !records.is_empty() {
+        let path = parallel::exit_on_write_error(parallel::write_records(
             "smt_scaling.json",
-            record,
+            records,
             &["bin", "machine", "threads", "capacity", "l2", "fetch", "budget"],
+            1,
         ));
-    }
-    if let Some(path) = path {
         println!("records -> {}", path.display());
     }
 }

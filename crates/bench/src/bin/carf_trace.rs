@@ -13,7 +13,8 @@
 //! and panicked on unknown workloads.
 
 use carf_bench::cli::{CliSpec, MachineSet, OptSpec};
-use carf_bench::{parallel, Budget};
+use carf_bench::json::Value;
+use carf_bench::{parallel, trace, Budget};
 use carf_sim::{SimConfig, AnySimulator, StageHistograms, StallReport, TraceRecorder};
 use carf_workloads::{all_workloads, Workload};
 
@@ -96,7 +97,7 @@ struct PointOutput {
     report: StallReport,
     histograms: StageHistograms,
     chrome_json: String,
-    counters_json: String,
+    counters: Vec<(&'static str, Value)>,
 }
 
 fn run_point(
@@ -132,8 +133,8 @@ fn run_point(
         committed: result.committed,
         report,
         histograms: recorder.histograms().clone(),
-        chrome_json: recorder.chrome_trace_json(),
-        counters_json: recorder.counters_json(),
+        chrome_json: trace::chrome_trace(&recorder),
+        counters: trace::counters(&recorder),
     })
 }
 
@@ -161,7 +162,7 @@ fn main() {
 
     let mut failed = false;
     let traces_dir = parallel::results_dir().join("traces");
-    let mut counters_path = None;
+    let mut records = Vec::new();
     for result in results {
         let point = match result {
             Ok(p) => p,
@@ -196,21 +197,21 @@ fn main() {
         }
 
         // One merged record per (bin, workload, machine, budget).
-        let record = format!(
-            "{{\"bin\":\"carf-trace\",\"workload\":\"{}\",\"machine\":\"{}\",\
-             \"budget\":\"{}\",{}",
-            point.workload,
-            point.label,
-            budget.label(),
-            &point.counters_json[1..]
-        );
-        counters_path = Some(parallel::write_merged_record(
-            "trace_counters.json",
-            &record,
-            &["bin", "workload", "machine", "budget"],
-        ));
+        let key = [
+            ("bin", "carf-trace".into()),
+            ("workload", point.workload.into()),
+            ("machine", point.label.into()),
+            ("budget", budget.label().into()),
+        ];
+        records.push(Value::object(key.into_iter().chain(point.counters)));
     }
-    if let Some(path) = counters_path {
+    if !records.is_empty() {
+        let path = parallel::exit_on_write_error(parallel::write_records(
+            "trace_counters.json",
+            records,
+            &["bin", "workload", "machine", "budget"],
+            1,
+        ));
         println!("\ncounters -> {}", path.display());
     }
     if failed {

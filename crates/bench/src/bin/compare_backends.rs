@@ -10,6 +10,7 @@
 
 use carf_bench::cache::cached_derived_f64;
 use carf_bench::cli::{parse_suites, CliSpec, MachineSet, OptSpec};
+use carf_bench::json::Value;
 use carf_bench::{
     organization_for, parallel, pct, print_table, rf_energy_for, run_matrix_cached, Budget,
     ClassTotals, SuiteResult,
@@ -148,7 +149,7 @@ fn main() {
     header.extend(["rel-ipc", "energy", "area", "issue-struct", "port-denials", "capture-hits"]);
 
     let mut table: Vec<Vec<String>> = Vec::new();
-    let mut records: Vec<String> = Vec::new();
+    let mut records: Vec<Value> = Vec::new();
     for row in &rows {
         let (reads, writes, capture_hits, port_denials) = row.totals();
         let energy = rf_energy_for(&model, &row.config.regfile, &reads, &writes, capture_hits);
@@ -188,21 +189,20 @@ fn main() {
         cells.push(capture_hits.to_string());
         table.push(cells);
 
-        records.push(format!(
-            "{{\"bin\":\"compare_backends\",\"machine\":\"{}\",\"budget\":\"{}\",\
-             \"config\":\"{}\",\"ipc_int\":{:.4},\"ipc_fp\":{:.4},\"rel_ipc\":{:.4},\
-             \"energy_rel\":{:.4},\"area_rel\":{:.4},\"issue_structural_share\":{:.4},\
-             \"rf_read_port_denials\":{port_denials},\"capture_reuse_hits\":{capture_hits}}}",
-            row.label,
-            budget.label(),
-            row.config.describe(),
-            row.ipc(Suite::Int).unwrap_or(0.0),
-            row.ipc(Suite::Fp).unwrap_or(0.0),
-            rel_ipc,
-            energy / base_energy,
-            area / base_area,
-            issue_share,
-        ));
+        records.push(Value::object([
+            ("bin", "compare_backends".into()),
+            ("machine", row.label.into()),
+            ("budget", budget.label().into()),
+            ("config", row.config.describe().into()),
+            ("ipc_int", Value::fixed(row.ipc(Suite::Int).unwrap_or(0.0), 4)),
+            ("ipc_fp", Value::fixed(row.ipc(Suite::Fp).unwrap_or(0.0), 4)),
+            ("rel_ipc", Value::fixed(rel_ipc, 4)),
+            ("energy_rel", Value::fixed(energy / base_energy, 4)),
+            ("area_rel", Value::fixed(area / base_area, 4)),
+            ("issue_structural_share", Value::fixed(issue_share, 4)),
+            ("rf_read_port_denials", port_denials.into()),
+            ("capture_reuse_hits", capture_hits.into()),
+        ]));
     }
 
     print_table(
@@ -215,15 +215,11 @@ fn main() {
          the issue-struct bucket."
     );
 
-    let mut path = None;
-    for record in &records {
-        path = Some(parallel::write_merged_record(
-            "backend_compare.json",
-            record,
-            &["bin", "machine", "budget"],
-        ));
-    }
-    if let Some(path) = path {
-        println!("records -> {}", path.display());
-    }
+    let path = parallel::exit_on_write_error(parallel::write_records(
+        "backend_compare.json",
+        records,
+        &["bin", "machine", "budget"],
+        1,
+    ));
+    println!("records -> {}", path.display());
 }

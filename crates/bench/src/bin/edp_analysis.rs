@@ -89,5 +89,5 @@ fn main() {
     );
     println!("\nbest energy-delay at d+n = {} (paper selects d+n = 20, balancing", best.0);
     println!("the IPC plateau against energy that grows with the Simple width).");
-    write_timing_json(&budget);
+    carf_bench::parallel::exit_on_write_error(write_timing_json(&budget));
 }

@@ -11,6 +11,7 @@
 //! `results/corpus_demographics.json`.
 
 use carf_bench::cli::{CliSpec, OptSpec};
+use carf_bench::json::Value;
 use carf_bench::{corpus, parallel, pct, print_table, run_suite, run_workloads, Budget};
 use carf_core::analysis::{GroupAccumulator, GROUP_LABELS};
 use carf_sim::SimConfig;
@@ -48,9 +49,8 @@ fn merged(suite: Suite, budget: &Budget) -> GroupAccumulator {
     acc
 }
 
-fn json_fractions(f: &[f64]) -> String {
-    let items: Vec<String> = f.iter().map(|x| format!("{x:.6}")).collect();
-    format!("[{}]", items.join(", "))
+fn json_fractions(f: &[f64]) -> Value {
+    f.iter().map(|x| Value::fixed(*x, 6)).collect()
 }
 
 fn main() {
@@ -124,18 +124,20 @@ fn main() {
     );
 
     let delta: Vec<f64> = (0..sf.len()).map(|i| (cf[i] - sf[i]) * 100.0).collect();
-    let record = format!(
-        "{{\"figure\": \"fig1\", \"budget\": \"{}\", \"programs\": {}, \
-         \"snapshots\": {}, \"synthetic_int\": {}, \"corpus\": {}, \
-         \"delta_pp\": {}}}",
-        budget.label(),
-        workloads.len(),
-        real.snapshots(),
-        json_fractions(&sf),
-        json_fractions(&cf),
-        json_fractions(&delta),
-    );
-    let path =
-        parallel::write_merged_record("corpus_demographics.json", &record, &["figure", "budget"]);
+    let record = Value::object([
+        ("figure", "fig1".into()),
+        ("budget", budget.label().into()),
+        ("programs", workloads.len().into()),
+        ("snapshots", real.snapshots().into()),
+        ("synthetic_int", json_fractions(&sf)),
+        ("corpus", json_fractions(&cf)),
+        ("delta_pp", json_fractions(&delta)),
+    ]);
+    let path = parallel::exit_on_write_error(parallel::write_records(
+        "corpus_demographics.json",
+        vec![record],
+        &["figure", "budget"],
+        1,
+    ));
     println!("\ncorpus demographics -> {}", path.display());
 }

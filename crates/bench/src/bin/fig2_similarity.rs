@@ -10,6 +10,7 @@
 //! `results/corpus_demographics.json`.
 
 use carf_bench::cli::{CliSpec, OptSpec};
+use carf_bench::json::Value;
 use carf_bench::{corpus, parallel, pct, print_table, run_suite, run_workloads, Budget};
 use carf_core::analysis::{GroupAccumulator, GROUP_LABELS};
 use carf_sim::{SimConfig, SimStats};
@@ -46,9 +47,8 @@ fn merge(runs: &[SimStats], pick: fn(&SimStats) -> &GroupAccumulator) -> GroupAc
     acc
 }
 
-fn json_fractions(f: &[f64]) -> String {
-    let items: Vec<String> = f.iter().map(|x| format!("{x:.6}")).collect();
-    format!("[{}]", items.join(", "))
+fn json_fractions(f: &[f64]) -> Value {
+    f.iter().map(|x| Value::fixed(*x, 6)).collect()
 }
 
 fn main() {
@@ -130,21 +130,24 @@ fn main() {
         &rows,
     );
 
-    let mut fields = vec![
-        format!("\"figure\": \"fig2\""),
-        format!("\"budget\": \"{}\"", budget.label()),
-        format!("\"programs\": {}", workloads.len()),
-        format!("\"snapshots\": {}", c8.snapshots()),
+    let mut fields: Vec<(String, Value)> = vec![
+        ("figure".into(), "fig2".into()),
+        ("budget".into(), budget.label().into()),
+        ("programs".into(), workloads.len().into()),
+        ("snapshots".into(), c8.snapshots().into()),
     ];
     for (tag, synth, real) in [("d8", &d8, &c8), ("d12", &d12, &c12), ("d16", &d16, &c16)] {
         let (sf, cf) = (synth.fractions(), real.fractions());
         let delta: Vec<f64> = (0..sf.len()).map(|i| (cf[i] - sf[i]) * 100.0).collect();
-        fields.push(format!("\"synthetic_{tag}\": {}", json_fractions(&sf)));
-        fields.push(format!("\"corpus_{tag}\": {}", json_fractions(&cf)));
-        fields.push(format!("\"delta_pp_{tag}\": {}", json_fractions(&delta)));
+        fields.push((format!("synthetic_{tag}"), json_fractions(&sf)));
+        fields.push((format!("corpus_{tag}"), json_fractions(&cf)));
+        fields.push((format!("delta_pp_{tag}"), json_fractions(&delta)));
     }
-    let record = format!("{{{}}}", fields.join(", "));
-    let path =
-        parallel::write_merged_record("corpus_demographics.json", &record, &["figure", "budget"]);
+    let path = parallel::exit_on_write_error(parallel::write_records(
+        "corpus_demographics.json",
+        vec![Value::Object(fields)],
+        &["figure", "budget"],
+        1,
+    ));
     println!("\ncorpus demographics -> {}", path.display());
 }

@@ -57,7 +57,7 @@ fn main() {
     println!(
         "\nShape check: INT should approach its plateau around d+n = 20 and");
     println!("FP should sit within a fraction of a percent of the baseline.");
-    write_timing_json(&budget);
+    carf_bench::parallel::exit_on_write_error(write_timing_json(&budget));
 }
 
 /// Paper Figure 5 anchors (read off the described curve: INT rises from

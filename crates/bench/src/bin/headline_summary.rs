@@ -92,5 +92,5 @@ fn main() {
         let speedup = (1.0 + loss) * (1.0 + boost) - 1.0;
         println!("  clock +{:>4}: overall {:+.1}%", pct(boost), speedup * 100.0);
     }
-    write_timing_json(&budget);
+    carf_bench::parallel::exit_on_write_error(write_timing_json(&budget));
 }

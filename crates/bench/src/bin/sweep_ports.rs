@@ -48,5 +48,5 @@ fn main() {
     );
     println!("\nPaper: halving read ports costs 0.17%, and 6 write ports another");
     println!("0.21% — justifying the 8R/6W baseline used everywhere else.");
-    write_timing_json(&budget);
+    carf_bench::parallel::exit_on_write_error(write_timing_json(&budget));
 }

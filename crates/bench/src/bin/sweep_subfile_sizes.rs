@@ -83,5 +83,5 @@ fn main() {
     );
     println!("\nPaper: mean live long count ≈ 12.7 — far below the 48 provisioned —");
     println!("because the Long file is sized for peaks (the SMT opportunity, §6).");
-    write_timing_json(&budget);
+    carf_bench::parallel::exit_on_write_error(write_timing_json(&budget));
 }

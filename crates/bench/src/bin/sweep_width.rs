@@ -59,5 +59,5 @@ fn main() {
         &rows,
     );
     println!("\n(The paper's machine is the 8-wide row; 8R/6W-equivalent port scaling.)");
-    write_timing_json(&budget);
+    carf_bench::parallel::exit_on_write_error(write_timing_json(&budget));
 }

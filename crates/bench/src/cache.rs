@@ -12,12 +12,16 @@
 //! instead of serving stale numbers.
 //!
 //! Entries live under `<results>/cache/<hh>/<key>.json` (sharded on the
-//! first key byte), each written atomically by [`crate::fsio::atomic_write`]
-//! and carrying the exact [`crate::statsio`] encoding, so a warm run
-//! reproduces **byte-identical** downstream result records. A human-
-//! readable `index.json` maps keys back to (config, point, budget) labels;
-//! it is maintained under an advisory [`FileLock`] so concurrent bins
-//! cannot lose each other's rows.
+//! first key byte), each one line of compact JSON written atomically by
+//! [`crate::fsio::atomic_write`]: `key`, `kind`, `point`, (a multi
+//! entry's `policy`,) `config`, `budget`, `salt`, then the payload —
+//! the exact [`crate::statsio`] object, a derived scalar's bits, or a
+//! multi point's packed `threads` string — so a warm run reproduces
+//! **byte-identical** downstream result records. Entries are built and
+//! parsed through [`crate::json`]; one that does not parse is a miss. A
+//! human-readable `index.json` maps keys back to (config, point, budget)
+//! labels; [`crate::json::update_records`] maintains it under an advisory
+//! lock so concurrent bins cannot lose each other's rows.
 //!
 //! Environment knobs:
 //!
@@ -25,10 +29,11 @@
 //! * `CARF_CACHE_REQUIRE_WARM=1` — fail (exit 3) if any point has to be
 //!   simulated: CI uses this to prove a warm re-run does zero simulation.
 
-use crate::fsio::{atomic_write, FileLock};
-use crate::parallel::{self, json_escape, json_field};
+use crate::fsio::atomic_write;
+use crate::json::{self, Value};
+use crate::parallel;
 use crate::sample::SampleSpec;
-use crate::statsio::{stats_from_json, stats_to_json, STATS_CODEC_VERSION};
+use crate::statsio::{stats_from_value, stats_to_value, STATS_CODEC_VERSION};
 use crate::{Budget, SuiteResult};
 use carf_mem::{CacheConfig, HierarchyConfig};
 use carf_sim::{BpredConfig, MemDepPolicy, MultiSim, RegFileKind, SharingPolicy, SimConfig, SimStats};
@@ -270,14 +275,18 @@ impl ResultCache {
         self.dir.join(&hex[..2]).join(format!("{hex}.json"))
     }
 
+    /// The parsed entry for `key`; `None` when it is absent, unreadable,
+    /// not JSON, or filed under another key.
+    fn load_entry(&self, key: u128) -> Option<Value> {
+        let text = std::fs::read_to_string(self.entry_path(key)).ok()?;
+        let entry = json::parse(&text).ok()?;
+        (entry.get("key")?.as_str()? == format!("{key:032x}")).then_some(entry)
+    }
+
     /// Looks up a simulation point. Any unreadable, mismatched, or
     /// stale-codec entry is a miss, never an error.
     pub fn load_point(&self, key: u128) -> Option<SimStats> {
-        let text = std::fs::read_to_string(self.entry_path(key)).ok()?;
-        if json_field(&text, "key")? != format!("{key:032x}") {
-            return None;
-        }
-        stats_from_json(&json_field(&text, "stats")?).ok()
+        stats_from_value(self.load_entry(key)?.get("stats")?).ok()
     }
 
     /// Stores a simulation point and records it in the index. Storage
@@ -291,26 +300,13 @@ impl ResultCache {
         budget: &Budget,
         stats: &SimStats,
     ) {
-        let hex = format!("{key:032x}");
-        let entry = format!(
-            "{{\"key\":\"{hex}\",\"kind\":\"point\",\"point\":\"{}\",\
-             \"config\":\"{}\",\"budget\":\"{}\",\"salt\":\"{CACHE_SALT}\",\
-             \"stats\":{}}}\n",
-            json_escape(point),
-            json_escape(&config.describe()),
-            json_escape(budget.label()),
-            stats_to_json(stats),
-        );
-        self.commit_entry(&hex, "point", point, config, budget, &entry);
+        let stats = ("stats", stats_to_value(stats));
+        self.commit_entry(key, entry(key, "point", point, None, config, budget, stats));
     }
 
     /// Looks up a derived scalar (stored bit-exactly).
     pub fn load_derived(&self, key: u128) -> Option<f64> {
-        let text = std::fs::read_to_string(self.entry_path(key)).ok()?;
-        if json_field(&text, "key")? != format!("{key:032x}") {
-            return None;
-        }
-        json_field(&text, "value_bits")?.parse::<u64>().ok().map(f64::from_bits)
+        self.load_entry(key)?.get("value_bits")?.as_u64().map(f64::from_bits)
     }
 
     /// Stores a derived scalar under its [`derived_key`].
@@ -322,74 +318,57 @@ impl ResultCache {
         budget: &Budget,
         value: f64,
     ) {
-        let hex = format!("{key:032x}");
-        let entry = format!(
-            "{{\"key\":\"{hex}\",\"kind\":\"derived\",\"point\":\"{}\",\
-             \"config\":\"{}\",\"budget\":\"{}\",\"salt\":\"{CACHE_SALT}\",\
-             \"value_bits\":{}}}\n",
-            json_escape(tag),
-            json_escape(&config.describe()),
-            json_escape(budget.label()),
-            value.to_bits(),
-        );
-        self.commit_entry(&hex, "derived", tag, config, budget, &entry);
+        let bits = ("value_bits", value.to_bits().into());
+        self.commit_entry(key, entry(key, "derived", tag, None, config, budget, bits));
     }
 
-    fn commit_entry(
-        &self,
-        hex: &str,
-        kind: &str,
-        point: &str,
-        config: &SimConfig,
-        budget: &Budget,
-        entry: &str,
-    ) {
-        let key: u128 = u128::from_str_radix(hex, 16).expect("hex key");
+    /// Writes `entry` (one line) and indexes it; failures are warnings.
+    fn commit_entry(&self, key: u128, entry: Value) {
         let path = self.entry_path(key);
-        if let Err(e) = atomic_write(&path, entry.as_bytes()) {
+        if let Err(e) = atomic_write(&path, format!("{entry}\n").as_bytes()) {
             eprintln!("warning: cache store failed for {}: {e}", path.display());
             return;
         }
-        let index_row = format!(
-            "{{\"key\":\"{hex}\",\"kind\":\"{kind}\",\"point\":\"{}\",\
-             \"config\":\"{}\",\"budget\":\"{}\"}}",
-            json_escape(point),
-            json_escape(&config.describe()),
-            json_escape(budget.label()),
+        let row = Value::object(
+            INDEX_FIELDS.iter().filter_map(|f| Some((*f, entry.get(f)?.clone()))),
         );
-        if let Err(e) = self.merge_index(&index_row) {
+        if let Err(e) = json::update_records(&self.index_path(), vec![row], &["key"], 1) {
             eprintln!("warning: cache index update failed: {e}");
         }
-    }
-
-    /// Merges one row into `index.json` (keyed by `key`) under the
-    /// advisory lock, with an atomic rewrite.
-    fn merge_index(&self, row: &str) -> std::io::Result<()> {
-        let path = self.index_path();
-        let _guard = FileLock::acquire(&path)?;
-        let existing: Vec<String> = std::fs::read_to_string(&path)
-            .unwrap_or_default()
-            .lines()
-            .map(|l| l.trim().trim_end_matches(',').to_string())
-            .filter(|l| l.starts_with('{'))
-            .collect();
-        let rows = parallel::merge_json_records(&existing, row, &["key"]);
-        let mut out = String::from("[\n");
-        for (i, r) in rows.iter().enumerate() {
-            out.push_str(r);
-            if i + 1 < rows.len() {
-                out.push(',');
-            }
-            out.push('\n');
-        }
-        out.push_str("]\n");
-        atomic_write(&path, out.as_bytes())
     }
 
     /// The human-readable key → (config, point, budget) listing.
     pub fn index_path(&self) -> PathBuf {
         self.dir.join("index.json")
     }
+}
+
+/// The entry fields an `index.json` row repeats, in order.
+const INDEX_FIELDS: [&str; 5] = ["key", "kind", "point", "config", "budget"];
+
+/// An entry: `key`, `kind`, `point`, `extra` (a multi entry's `policy`),
+/// `config`, `budget`, `salt`, and last the `payload` member.
+fn entry(
+    key: u128,
+    kind: &str,
+    point: &str,
+    extra: Option<(&str, Value)>,
+    config: &SimConfig,
+    budget: &Budget,
+    payload: (&str, Value),
+) -> Value {
+    let head = [
+        ("key", format!("{key:032x}").into()),
+        ("kind", kind.into()),
+        ("point", point.into()),
+    ];
+    let tail = [
+        ("config", config.describe().into()),
+        ("budget", budget.label().into()),
+        ("salt", CACHE_SALT.into()),
+        payload,
+    ];
+    Value::object(head.into_iter().chain(extra).chain(tail))
 }
 
 /// Whether `CARF_CACHE_REQUIRE_WARM` demands a fully warm run.
@@ -655,13 +634,9 @@ impl ResultCache {
     /// Looks up a multi-context point: the per-context records, in
     /// context order. Unreadable or malformed entries are misses.
     pub fn load_multi(&self, key: u128) -> Option<Vec<MultiThreadRecord>> {
-        let text = std::fs::read_to_string(self.entry_path(key)).ok()?;
-        if json_field(&text, "key")? != format!("{key:032x}") {
-            return None;
-        }
-        let packed = json_field(&text, "threads")?;
+        let entry = self.load_entry(key)?;
         let threads: Option<Vec<MultiThreadRecord>> =
-            packed.split(',').map(MultiThreadRecord::unpack).collect();
+            entry.get("threads")?.as_str()?.split(',').map(MultiThreadRecord::unpack).collect();
         threads.filter(|t| !t.is_empty())
     }
 
@@ -675,20 +650,11 @@ impl ResultCache {
         budget: &Budget,
         threads: &[MultiThreadRecord],
     ) {
-        let hex = format!("{key:032x}");
         let packed: Vec<String> = threads.iter().map(MultiThreadRecord::pack).collect();
         let config = &point.contexts.first().expect("a multi point has contexts").0;
-        let entry = format!(
-            "{{\"key\":\"{hex}\",\"kind\":\"multi\",\"point\":\"{}\",\
-             \"policy\":\"{}\",\"config\":\"{}\",\"budget\":\"{}\",\
-             \"salt\":\"{CACHE_SALT}\",\"threads\":\"{}\"}}\n",
-            json_escape(&point.label),
-            json_escape(&point.policy.canonical()),
-            json_escape(&config.describe()),
-            json_escape(budget.label()),
-            json_escape(&packed.join(",")),
-        );
-        self.commit_entry(&hex, "multi", &point.label, config, budget, &entry);
+        let policy = Some(("policy", point.policy.canonical().into()));
+        let threads = ("threads", packed.join(",").into());
+        self.commit_entry(key, entry(key, "multi", &point.label, policy, config, budget, threads));
     }
 }
 
@@ -939,6 +905,65 @@ mod tests {
             point_key(&cfg, Suite::Int, &ia, &budget),
             point_key(&cfg, Suite::Int, &ib, &budget)
         );
+    }
+
+    #[test]
+    fn entries_re_emit_byte_identically() {
+        let cache = temp_cache("reemit");
+        let (cfg, budget) = (SimConfig::test_small(), Budget::quick());
+        let stats = SimStats { cycles: 11, long_mean_live: 0.1 + 0.2, ..SimStats::default() };
+        cache.store_point(1, "Int/\"odd\\name\"", &cfg, &budget, &stats);
+        cache.store_derived(2, "stall_share", &cfg, &budget, 0.25);
+        let point = multi_point(["pointer_chase", "hash_table"], SharingPolicy::shared_long(48));
+        let record = MultiThreadRecord { committed: 1, cycles: 2, long_guard_stall_cycles: 3 };
+        cache.store_multi(3, &point, &budget, &[record, record]);
+        for key in [1, 2, 3] {
+            let text = std::fs::read_to_string(cache.entry_path(key)).unwrap();
+            let entry = json::parse(&text).unwrap();
+            assert_eq!(format!("{entry}\n"), text);
+        }
+        let index = std::fs::read_to_string(cache.index_path()).unwrap();
+        assert_eq!(json::render_records(&json::parse_records(&index).unwrap()), index);
+        let _ = std::fs::remove_dir_all(cache.dir());
+    }
+
+    #[test]
+    fn a_truncated_entry_is_a_miss_that_re_simulates_and_re_stores() {
+        let cache = temp_cache("truncated");
+        let mut budget = Budget::quick();
+        budget.size = SizeClass::Test;
+        budget.max_insts = 5_000;
+        budget.jobs = 1;
+        let w = carf_workloads::int_suite().remove(0);
+        let points = vec![(SimConfig::test_small(), Suite::Int, vec![w])];
+        let cold = run_custom_with_cache(&points, &budget, Some(&cache));
+        assert_eq!((cold.served, cold.simulated), (0, 1));
+        let key = point_key(&points[0].0, Suite::Int, &workload_identity(&points[0].2[0]), &budget);
+        let path = cache.entry_path(key);
+        let text = std::fs::read_to_string(&path).unwrap();
+        std::fs::write(&path, &text[..text.len() / 2]).unwrap();
+        let rerun = run_custom_with_cache(&points, &budget, Some(&cache));
+        assert_eq!((rerun.served, rerun.simulated), (0, 1));
+        assert_eq!(rerun.results[0].runs, cold.results[0].runs);
+        assert_eq!(std::fs::read_to_string(&path).unwrap(), text, "the entry is stored again");
+        let warm = run_custom_with_cache(&points, &budget, Some(&cache));
+        assert_eq!((warm.served, warm.simulated), (1, 0));
+        let _ = std::fs::remove_dir_all(cache.dir());
+    }
+
+    #[test]
+    fn a_corrupt_index_leaves_entries_stored_and_served() {
+        let cache = temp_cache("corrupt-index");
+        let (cfg, budget) = (SimConfig::test_small(), Budget::quick());
+        std::fs::create_dir_all(cache.dir()).unwrap();
+        let garbage = "[\n{\"key\":\"00\",";
+        std::fs::write(cache.index_path(), garbage).unwrap();
+        let stats = SimStats { cycles: 5, ..SimStats::default() };
+        // The index update fails with a warning on stderr; the entry lands.
+        cache.store_point(9, "Int/a", &cfg, &budget, &stats);
+        assert_eq!(cache.load_point(9), Some(stats));
+        assert_eq!(std::fs::read_to_string(cache.index_path()).unwrap(), garbage);
+        let _ = std::fs::remove_dir_all(cache.dir());
     }
 
     #[test]

@@ -28,15 +28,17 @@ pub mod cli;
 pub mod corpus;
 pub mod fingerprint;
 pub mod fsio;
+pub mod json;
 pub mod parallel;
 pub mod sample;
 pub mod statsio;
+pub mod trace;
 
 pub use cache::{
     run_custom_cached, run_matrix_cached, run_multi_cached, workload_identity, CacheStatus,
     MatrixOutcome, MultiOutcome, MultiPoint, MultiThreadRecord, ResultCache,
 };
-pub use parallel::{results_dir, run_ordered, write_merged_record, write_timing_json};
+pub use parallel::{results_dir, run_ordered, write_records, write_timing_json};
 
 /// Per-run instruction budget, workload sizing, and harness parallelism.
 #[derive(Debug, Clone, Copy)]
@@ -106,29 +108,9 @@ impl Budget {
         }
     }
 
-    /// Parses the process arguments. `--full` selects [`Budget::full`],
-    /// `--quick` (the default) [`Budget::quick`]; `--jobs N` (or
-    /// `--jobs=N`) overrides the worker count, which otherwise comes from
-    /// [`default_jobs`]. Any other argument prints a usage message and
-    /// exits with status 2.
-    ///
-    /// Binaries should prefer [`cli::budget_for`], which names the binary
-    /// in the usage message; richer grammars build a [`cli::CliSpec`].
-    pub fn from_args() -> Self {
-        Self::parse_args(std::env::args().skip(1)).unwrap_or_else(|bad| {
-            eprintln!("error: {bad}");
-            eprintln!("usage: <experiment> [--quick | --full] [--jobs N] [--sample[=I/P/W]]");
-            eprintln!("  --quick    quick budget: ~200k instructions per point (default)");
-            eprintln!("  --full     full budget: ~1M instructions per point");
-            eprintln!("  --jobs N   worker threads (default: CARF_JOBS or available cores)");
-            eprintln!("  --sample   interval sampling (default spec 5000/8/2000:");
-            eprintln!("             interval/period/warmup; override with --sample=I/P/W)");
-            std::process::exit(2);
-        })
-    }
-
-    /// [`Budget::from_args`] on an explicit argument list; `Err` carries
-    /// a message describing the first bad argument.
+    /// Parses the budget flags `--quick` (default), `--full`, `--jobs N`
+    /// and `--sample[=I/P/W]`; `Err` describes the first bad argument.
+    /// Binaries call it through [`cli::budget_for`] or a [`cli::CliSpec`].
     pub fn parse_args<I: IntoIterator<Item = String>>(args: I) -> Result<Self, String> {
         let mut full = false;
         let mut jobs: Option<usize> = None;

@@ -10,10 +10,13 @@
 //!
 //! The engine also collects wall-clock timing: per-point durations and
 //! the total run time, written as machine-readable JSON by
-//! [`write_timing_json`] (see `results/bench_timing.json`).
+//! [`write_timing_json`] (see `results/bench_timing.json`). Results
+//! records of every kind go through [`write_records`], which merges them
+//! into their file with [`crate::json::update_records`].
 
-use crate::fsio::{atomic_write, FileLock};
+use crate::json::{self, Value};
 use crate::Budget;
+use std::io;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Mutex, OnceLock};
@@ -125,21 +128,6 @@ pub fn take_points() -> Vec<PointTiming> {
     std::mem::take(&mut *POINTS.lock().expect("timing collector poisoned"))
 }
 
-/// `s` as the body of a JSON string: quotes, backslashes, and control
-/// characters escaped, everything else (plain names) unchanged.
-pub fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
-}
-
 /// The invoking binary's file stem (best effort; "unknown" as fallback).
 pub fn bin_name() -> String {
     std::env::current_exe()
@@ -174,240 +162,53 @@ pub fn workspace_root() -> PathBuf {
         .to_path_buf()
 }
 
-/// Scans the JSON string literal whose opening quote is at `record[start]`
-/// and returns the content byte range (quotes stripped, escape sequences
-/// preserved verbatim) plus the index of the closing quote. `None` when the
-/// string never terminates. Quote and backslash are ASCII, so byte-wise
-/// scanning is UTF-8 safe.
-fn scan_string(record: &str, start: usize) -> Option<(usize, usize)> {
-    let bytes = record.as_bytes();
-    let mut i = start + 1;
-    while i < bytes.len() {
-        match bytes[i] {
-            b'"' => return Some((start + 1, i)),
-            b'\\' => i += 2,
-            _ => i += 1,
-        }
-    }
-    None
-}
-
-/// Returns the index just past the JSON value starting at `record[start]`,
-/// skipping nested objects/arrays with full string awareness so separator
-/// characters inside string values never end the scan early.
-fn skip_value(record: &str, start: usize) -> Option<usize> {
-    let bytes = record.as_bytes();
-    match bytes.get(start)? {
-        b'"' => scan_string(record, start).map(|(_, close)| close + 1),
-        b'{' | b'[' => {
-            let mut depth = 0usize;
-            let mut i = start;
-            while i < bytes.len() {
-                match bytes[i] {
-                    b'{' | b'[' => {
-                        depth += 1;
-                        i += 1;
-                    }
-                    b'}' | b']' => {
-                        depth -= 1;
-                        i += 1;
-                        if depth == 0 {
-                            return Some(i);
-                        }
-                    }
-                    b'"' => i = scan_string(record, i)?.1 + 1,
-                    _ => i += 1,
-                }
-            }
-            None
-        }
-        _ => {
-            let rest = &record[start..];
-            let len = rest
-                .find(|c: char| c == ',' || c == '}' || c == ']' || c.is_whitespace())
-                .unwrap_or(rest.len());
-            Some(start + len)
-        }
-    }
-}
-
-/// Extracts the raw value of a top-level `"name": value` field from a
-/// single-line JSON record (`None` when absent). String values are returned
-/// without their quotes (escape sequences preserved); other values are
-/// returned as their raw text. The scanner walks the top-level object
-/// key-by-key, skipping nested objects, arrays, and string contents, so a
-/// field name that appears inside a nested record (`"points":[{"name":…}]`)
-/// or inside a string value never shadows — or stands in for — the
-/// top-level field.
+/// The raw text of the top-level field `name` of the JSON record
+/// `record`: a string without its quotes (escaped as the writer escapes
+/// it), any other value in its compact form. `None` when the record does
+/// not parse or has no such field. Code in this workspace reads records
+/// through [`crate::json`]; this stays for callers outside it.
 pub fn json_field(record: &str, name: &str) -> Option<String> {
-    let bytes = record.as_bytes();
-    let mut i = record.find('{')? + 1;
-    loop {
-        while i < bytes.len() && (bytes[i].is_ascii_whitespace() || bytes[i] == b',') {
-            i += 1;
-        }
-        match bytes.get(i)? {
-            b'}' => return None, // end of the top-level object: field absent
-            b'"' => {
-                let (key_start, key_end) = scan_string(record, i)?;
-                i = key_end + 1;
-                while i < bytes.len() && bytes[i].is_ascii_whitespace() {
-                    i += 1;
-                }
-                if bytes.get(i) != Some(&b':') {
-                    return None; // malformed row: treat the field as absent
-                }
-                i += 1;
-                while i < bytes.len() && bytes[i].is_ascii_whitespace() {
-                    i += 1;
-                }
-                if i >= bytes.len() {
-                    return None;
-                }
-                if &record[key_start..key_end] == name {
-                    return if bytes[i] == b'"' {
-                        scan_string(record, i).map(|(s, e)| record[s..e].to_string())
-                    } else {
-                        let end = skip_value(record, i)?;
-                        let value = &record[i..end];
-                        (!value.is_empty()).then(|| value.to_string())
-                    };
-                }
-                i = skip_value(record, i)?;
-            }
-            _ => return None,
-        }
-    }
+    let record = json::parse(record).ok()?;
+    let value = record.get(name)?;
+    let text = value.to_string();
+    Some(match value {
+        Value::String(_) => text[1..text.len() - 1].to_string(),
+        _ => text,
+    })
 }
 
-/// Merges `record` into `existing` one-record-per-line JSON rows: any row
-/// whose `key_fields` values all equal the new record's is replaced; every
-/// other row (including rows missing a key field) is kept. The new record
-/// is appended last.
-pub fn merge_json_records(
-    existing: &[String],
-    record: &str,
-    key_fields: &[&str],
-) -> Vec<String> {
-    let new_key: Vec<Option<String>> =
-        key_fields.iter().map(|f| json_field(record, f)).collect();
-    let mut out: Vec<String> = existing
-        .iter()
-        .filter(|row| {
-            let row_key: Vec<Option<String>> =
-                key_fields.iter().map(|f| json_field(row, f)).collect();
-            // Keep the row unless its key tuple is present and equal.
-            row_key.iter().any(|v| v.is_none()) || row_key != new_key
-        })
-        .cloned()
-        .collect();
-    out.push(record.to_string());
-    out
-}
-
-/// Merges `record` into `existing` rows keeping **history**: rows whose
-/// `key_fields` values all equal the new record's are retained (newest
-/// last) up to `keep - 1` of them, so with the appended record the file
-/// holds at most the last `keep` runs per key tuple. Rows with a different
-/// key — or missing a key field — are kept untouched. `keep == 1`
-/// degenerates to [`merge_json_records`]'s replace semantics.
-pub fn merge_json_records_rotating(
-    existing: &[String],
-    record: &str,
-    key_fields: &[&str],
-    keep: usize,
-) -> Vec<String> {
-    let keep = keep.max(1);
-    let new_key: Vec<Option<String>> =
-        key_fields.iter().map(|f| json_field(record, f)).collect();
-    let matches_key = |row: &str| {
-        let row_key: Vec<Option<String>> =
-            key_fields.iter().map(|f| json_field(row, f)).collect();
-        row_key.iter().all(|v| v.is_some()) && row_key == new_key
-    };
-    // Indices of same-key rows, oldest first; drop all but the newest keep-1.
-    let same_key: Vec<usize> = existing
-        .iter()
-        .enumerate()
-        .filter(|(_, row)| matches_key(row))
-        .map(|(i, _)| i)
-        .collect();
-    let drop_oldest: usize = same_key.len().saturating_sub(keep - 1);
-    let dropped: std::collections::HashSet<usize> =
-        same_key.into_iter().take(drop_oldest).collect();
-    let mut out: Vec<String> = existing
-        .iter()
-        .enumerate()
-        .filter(|(i, _)| !dropped.contains(i))
-        .map(|(_, row)| row.clone())
-        .collect();
-    out.push(record.to_string());
-    out
-}
-
-fn read_record_lines(path: &Path) -> Vec<String> {
-    std::fs::read_to_string(path)
-        .unwrap_or_default()
-        .lines()
-        .map(|l| l.trim().trim_end_matches(',').to_string())
-        .filter(|l| l.starts_with('{'))
-        .collect()
-}
-
-fn write_record_lines(dir: &Path, path: &Path, records: &[String]) {
-    let mut out = String::from("[\n");
-    for (i, r) in records.iter().enumerate() {
-        let sep = if i + 1 < records.len() { "," } else { "" };
-        out.push_str(r);
-        out.push_str(sep);
-        out.push('\n');
-    }
-    out.push_str("]\n");
-    if std::fs::create_dir_all(dir).is_ok() {
-        let _ = atomic_write(path, out.as_bytes());
-    }
-}
-
-/// Reads `file_name` from [`results_dir`], merges `record` by `key_fields`
-/// (see [`merge_json_records`]), rewrites the file as a JSON array with one
-/// record per line, and returns the path. The read-merge-write cycle runs
-/// under an advisory file lock and the rewrite is atomic (temp file +
-/// rename), so concurrent experiment binaries cannot lose each other's
-/// rows or leave a truncated file behind.
-pub fn write_merged_record(file_name: &str, record: &str, key_fields: &[&str]) -> PathBuf {
-    let dir = results_dir();
-    let path = dir.join(file_name);
-    let _ = std::fs::create_dir_all(&dir);
-    let _guard = FileLock::acquire(&path);
-    let existing = read_record_lines(&path);
-    let records = merge_json_records(&existing, record, key_fields);
-    write_record_lines(&dir, &path, &records);
-    path
-}
-
-/// [`write_merged_record`] with rotation: keeps the last `keep` runs per
-/// key tuple instead of replacing (see [`merge_json_records_rotating`]).
-pub fn write_rotated_record(
-    file_name: &str,
-    record: &str,
-    key_fields: &[&str],
-    keep: usize,
-) -> PathBuf {
-    let dir = results_dir();
-    let path = dir.join(file_name);
-    let _ = std::fs::create_dir_all(&dir);
-    let _guard = FileLock::acquire(&path);
-    let existing = read_record_lines(&path);
-    let records = merge_json_records_rotating(&existing, record, key_fields, keep);
-    write_record_lines(&dir, &path, &records);
-    path
-}
-
-/// Writes (merging) the run's timing record into
-/// `<results dir>/bench_timing.json` (see [`results_dir`]) and returns the
-/// path.
+/// Merges `records` into `<results dir>/<file_name>` (see
+/// [`json::update_records`]), keeping the last `keep` rows per
+/// `key_fields` tuple (`keep == 1` replaces), and returns the path.
 ///
-/// The file is a JSON array with one record per line, each of the form
+/// # Errors
+///
+/// As [`json::update_records`]: every error names the file.
+pub fn write_records(
+    file_name: &str,
+    records: Vec<Value>,
+    key_fields: &[&str],
+    keep: usize,
+) -> io::Result<PathBuf> {
+    let path = results_dir().join(file_name);
+    json::update_records(&path, records, key_fields, keep)?;
+    Ok(path)
+}
+
+/// The path a results write returned, or — when it failed — exits 1
+/// after printing `error: could not write <path>: <cause>` (the error
+/// names the path).
+pub fn exit_on_write_error(written: io::Result<PathBuf>) -> PathBuf {
+    written.unwrap_or_else(|e| {
+        eprintln!("error: could not write {e}");
+        std::process::exit(1)
+    })
+}
+
+/// Merges the run's timing record into `<results dir>/bench_timing.json`
+/// (see [`results_dir`]), prints a one-line summary, and returns the path.
+///
+/// The file holds one record per line, each of the form
 /// `{"bin": ..., "budget": ..., "jobs": N, "total_secs": S,
 /// "geomean_kips": G, "peak_kips": P, "points": [{"name": ..., "secs": ...,
 /// "committed": ..., "kips": ...}, ...]}`. Records are keyed by
@@ -415,18 +216,22 @@ pub fn write_rotated_record(
 /// configuration keeps at most the last [`TIMING_KEEP_RUNS`] records for
 /// its key, so the file holds a short history per configuration without
 /// growing unboundedly.
-pub fn write_timing_json(budget: &Budget) -> PathBuf {
+///
+/// # Errors
+///
+/// As [`write_records`].
+pub fn write_timing_json(budget: &Budget) -> io::Result<PathBuf> {
     let bin = bin_name();
     let points = take_points();
     let total = total_secs();
     let record = timing_record(&bin, budget.label(), budget.jobs, total, &points);
 
-    let path = write_rotated_record(
+    let path = write_records(
         "bench_timing.json",
-        &record,
+        vec![record],
         &["bin", "budget", "jobs"],
         TIMING_KEEP_RUNS,
-    );
+    )?;
     println!(
         "timing: {} points in {:.2}s with {} worker(s), geomean {:.1} KIPS -> {}",
         points.len(),
@@ -435,50 +240,52 @@ pub fn write_timing_json(budget: &Budget) -> PathBuf {
         geomean_kips(&points),
         path.display()
     );
-    path
+    Ok(path)
 }
 
 /// How many timing records `bench_timing.json` keeps per (bin, budget,
 /// jobs) key before the oldest rotates out.
 pub const TIMING_KEEP_RUNS: usize = 3;
 
-/// Formats one `bench_timing.json` record.
+/// One `bench_timing.json` record.
 pub fn timing_record(
     bin: &str,
     budget_label: &str,
     jobs: usize,
     total_secs: f64,
     points: &[PointTiming],
-) -> String {
-    let mut record = format!(
-        "{{\"bin\":\"{}\",\"budget\":\"{}\",\"jobs\":{},\"total_secs\":{:.3},\
-         \"geomean_kips\":{:.3},\"peak_kips\":{:.3},\"points\":[",
-        json_escape(bin),
-        json_escape(budget_label),
-        jobs,
-        total_secs,
-        geomean_kips(points),
-        peak_kips(points),
-    );
-    for (i, p) in points.iter().enumerate() {
-        if i > 0 {
-            record.push(',');
-        }
-        record.push_str(&format!(
-            "{{\"name\":\"{}\",\"secs\":{:.3},\"committed\":{},\"kips\":{:.3}}}",
-            json_escape(&p.name),
-            p.secs,
-            p.committed,
-            p.kips()
-        ));
-    }
-    record.push_str("]}");
-    record
+) -> Value {
+    let rows = points.iter().map(|p| {
+        Value::object([
+            ("name", p.name.as_str().into()),
+            ("secs", Value::fixed(p.secs, 3)),
+            ("committed", p.committed.into()),
+            ("kips", Value::fixed(p.kips(), 3)),
+        ])
+    });
+    Value::object([
+        ("bin", bin.into()),
+        ("budget", budget_label.into()),
+        ("jobs", jobs.into()),
+        ("total_secs", Value::fixed(total_secs, 3)),
+        ("geomean_kips", Value::fixed(geomean_kips(points), 3)),
+        ("peak_kips", Value::fixed(peak_kips(points), 3)),
+        ("points", rows.collect()),
+    ])
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// `existing` with `record` merged in by `key_fields` (see
+    /// [`json::merge_record`]), each row written back compactly.
+    fn merge(existing: &[String], record: &str, key_fields: &[&str], keep: usize) -> Vec<String> {
+        let mut rows: Vec<Value> =
+            existing.iter().map(|r| json::parse(r).expect("test row")).collect();
+        json::merge_record(&mut rows, json::parse(record).expect("test record"), key_fields, keep);
+        rows.iter().map(Value::to_string).collect()
+    }
 
     #[test]
     fn ordered_results_match_serial_for_any_job_count() {
@@ -498,7 +305,7 @@ mod tests {
 
     #[test]
     fn json_escaping_handles_quotes_and_control() {
-        assert_eq!(json_escape("a\"b\\c\nd"), "a\\\"b\\\\c\\u000ad");
+        assert_eq!(Value::from("a\"b\\c\nd").to_string(), "\"a\\\"b\\\\c\\u000ad\"");
     }
 
     #[test]
@@ -565,7 +372,7 @@ mod tests {
                 .to_string(),
         ];
         let rec = r#"{"bin":"a","budget":"quick","run":4}"#;
-        let merged = merge_json_records(&existing, rec, &["bin", "budget"]);
+        let merged = merge(&existing, rec, &["bin", "budget"], 1);
         assert_eq!(merged.len(), 3, "{merged:?}");
         assert!(merged.iter().any(|r| r.contains("\"run\":1")), "quick,v2 key kept");
         assert!(!merged.iter().any(|r| r.contains("\"run\":2")), "(a, quick) replaced");
@@ -582,7 +389,7 @@ mod tests {
             .map(|run| format!("{{\"bin\":\"a\",\"jobs\":1,\"run\":{run}}}"))
             .collect();
         let rec = r#"{"bin":"a","jobs":1,"run":99}"#;
-        let merged = merge_json_records_rotating(&rows, rec, &["bin", "jobs"], TIMING_KEEP_RUNS);
+        let merged = merge(&rows, rec, &["bin", "jobs"], TIMING_KEEP_RUNS);
         assert_eq!(merged.len(), TIMING_KEEP_RUNS, "{merged:?}");
         assert!(!merged.iter().any(|r| r.contains("\"run\":1")), "oldest rotated out");
         assert!(merged.iter().any(|r| r.contains("\"run\":2")));
@@ -593,7 +400,7 @@ mod tests {
         let overfull: Vec<String> = (1..=TIMING_KEEP_RUNS + 2)
             .map(|run| format!("{{\"bin\":\"a\",\"jobs\":1,\"run\":{run}}}"))
             .collect();
-        let merged = merge_json_records_rotating(&overfull, rec, &["bin", "jobs"], TIMING_KEEP_RUNS);
+        let merged = merge(&overfull, rec, &["bin", "jobs"], TIMING_KEEP_RUNS);
         assert_eq!(merged.len(), TIMING_KEEP_RUNS, "{merged:?}");
         assert_eq!(merged.last().map(String::as_str), Some(rec));
     }
@@ -606,7 +413,7 @@ mod tests {
             r#"{"bin":"b","budget":"quick","jobs":4,"total_secs":2.0}"#.to_string(),
         ];
         let rerun = r#"{"bin":"a","budget":"quick","jobs":4,"total_secs":1.5}"#;
-        let merged = merge_json_records(&existing, rerun, &["bin", "budget", "jobs"]);
+        let merged = merge(&existing, rerun, &["bin", "budget", "jobs"], 1);
         assert_eq!(merged.len(), 3, "{merged:?}");
         // The stale (a, quick, 4) record is gone; the other two survive.
         assert!(!merged.iter().any(|r| r.contains("\"total_secs\":1.0")));
@@ -624,12 +431,7 @@ mod tests {
         let mut rows = vec![other.clone()];
         for run in 1..=4 {
             let rec = format!("{{\"bin\":\"a\",\"budget\":\"quick\",\"jobs\":1,\"run\":{run}}}");
-            rows = merge_json_records_rotating(
-                &rows,
-                &rec,
-                &["bin", "budget", "jobs"],
-                TIMING_KEEP_RUNS,
-            );
+            rows = merge(&rows, &rec, &["bin", "budget", "jobs"], TIMING_KEEP_RUNS);
         }
         let expected = vec![
             other,
@@ -643,24 +445,21 @@ mod tests {
     #[test]
     fn rotation_keeps_rows_missing_a_key_field() {
         let existing = vec![r#"{"note":"hand-written row"}"#.to_string()];
-        let merged = merge_json_records_rotating(
-            &existing,
-            r#"{"bin":"a","jobs":1}"#,
-            &["bin", "jobs"],
-            1,
-        );
+        let merged = merge(&existing, r#"{"bin":"a","jobs":1}"#, &["bin", "jobs"], 1);
         assert_eq!(merged.len(), 2);
         assert_eq!(merged[0], existing[0]);
     }
 
     #[test]
     fn rotation_with_keep_one_replaces_like_plain_merge() {
-        let existing = vec![r#"{"bin":"a","jobs":1,"run":1}"#.to_string()];
+        // Plain replacement is rotation that keeps one run per key.
+        let existing = vec![
+            r#"{"bin":"a","jobs":1,"run":1}"#.to_string(),
+            r#"{"bin":"b","jobs":1,"run":1}"#.to_string(),
+        ];
         let rec = r#"{"bin":"a","jobs":1,"run":2}"#;
-        let rotated = merge_json_records_rotating(&existing, rec, &["bin", "jobs"], 1);
-        let merged = merge_json_records(&existing, rec, &["bin", "jobs"]);
-        assert_eq!(rotated, merged);
-        assert_eq!(rotated, vec![rec.to_string()]);
+        let rotated = merge(&existing, rec, &["bin", "jobs"], 1);
+        assert_eq!(rotated, vec![existing[1].clone(), rec.to_string()]);
     }
 
     #[test]
@@ -689,20 +488,19 @@ mod tests {
         let points = vec![PointTiming { name: "Int/a".into(), secs: 0.5, committed: 200_000 }];
         let rec = timing_record("bench_kips", "quick", 1, 0.5, &points);
         assert_eq!(
-            rec,
+            rec.to_string(),
             "{\"bin\":\"bench_kips\",\"budget\":\"quick\",\"jobs\":1,\
              \"total_secs\":0.500,\"geomean_kips\":400.000,\"peak_kips\":400.000,\
              \"points\":[{\"name\":\"Int/a\",\"secs\":0.500,\"committed\":200000,\
              \"kips\":400.000}]}"
         );
-        assert_eq!(json_field(&rec, "geomean_kips").as_deref(), Some("400.000"));
+        assert_eq!(rec.get("geomean_kips"), Some(&Value::Number("400.000".into())));
     }
 
     #[test]
     fn merge_keeps_rows_missing_a_key_field() {
         let existing = vec![r#"{"note":"hand-written row"}"#.to_string()];
-        let merged =
-            merge_json_records(&existing, r#"{"bin":"a","jobs":1}"#, &["bin", "jobs"]);
+        let merged = merge(&existing, r#"{"bin":"a","jobs":1}"#, &["bin", "jobs"], 1);
         assert_eq!(merged.len(), 2);
         assert_eq!(merged[0], existing[0]);
     }

@@ -185,17 +185,6 @@ pub fn relative_error(sampled: f64, full: f64) -> Option<f64> {
     err.is_finite().then_some(err)
 }
 
-/// Formats a metric for a JSON record: four decimals when finite, `null`
-/// otherwise. `{:.4}` on a NaN or infinity would print bare `NaN`/`inf`,
-/// which is not JSON and corrupts every consumer of the merged file.
-pub fn finite_json_number(v: f64) -> String {
-    if v.is_finite() {
-        format!("{v:.4}")
-    } else {
-        "null".to_string()
-    }
-}
-
 /// Advances the functional machine to `target` retired instructions (a
 /// no-op when already there or halted), streaming the region's accesses
 /// into `obs` for functional warming.
@@ -502,11 +491,14 @@ mod tests {
 
     #[test]
     fn json_numbers_never_emit_bare_nan() {
-        assert_eq!(finite_json_number(1.25), "1.2500");
-        assert_eq!(finite_json_number(0.0), "0.0000");
-        assert_eq!(finite_json_number(f64::NAN), "null");
-        assert_eq!(finite_json_number(f64::INFINITY), "null");
-        assert_eq!(finite_json_number(f64::NEG_INFINITY), "null");
+        // A sampled IPC or CI95 can be NaN; `{:.4}` would print bare
+        // `NaN`/`inf`, which is not JSON.
+        use crate::json::Value;
+        assert_eq!(Value::fixed(1.25, 4).to_string(), "1.2500");
+        assert_eq!(Value::fixed(0.0, 4).to_string(), "0.0000");
+        assert_eq!(Value::fixed(f64::NAN, 4).to_string(), "null");
+        assert_eq!(Value::fixed(f64::INFINITY, 4).to_string(), "null");
+        assert_eq!(Value::fixed(f64::NEG_INFINITY, 4).to_string(), "null");
     }
 
     #[test]

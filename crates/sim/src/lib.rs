@@ -71,6 +71,6 @@ pub use sim::{AnySimulator, RegFileBackend, SimError, SimResult, Simulator, Warm
 pub use multi::{ContentionStats, FetchArbitration, MultiSim, MultiThreadResult, SharingPolicy};
 pub use stats::{DispatchStalls, OperandMix, OracleData, SimStats};
 pub use trace::{
-    DispatchStallCause, InstTimeline, LatencyHistogram, NopTracer, SquashReason, StageHistograms,
-    StallCause, StallReport, TraceCounters, TraceEvent, TraceRecorder, Tracer,
+    CycleSample, DispatchStallCause, InstTimeline, LatencyHistogram, NopTracer, SquashReason,
+    StageHistograms, StallCause, StallReport, TraceCounters, TraceEvent, TraceRecorder, Tracer,
 };

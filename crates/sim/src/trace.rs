@@ -15,9 +15,11 @@
 //!   total cycle count — see [`StallReport`];
 //! * **per-instruction lifetimes** (dispatch → issue → execute → retire)
 //!   and log₂ **stage-latency histograms**;
-//! * a **Chrome trace-event JSON** export of a bounded cycle window,
-//!   loadable in Perfetto or `chrome://tracing`;
-//! * a flat **counters JSON** object for merging into `results/`.
+//! * per-cycle occupancy **samples** of a bounded cycle window.
+//!
+//! The recorder holds no JSON: `carf_bench::trace` exports the windowed
+//! lifetimes and samples as a Chrome trace (loadable in Perfetto or
+//! `chrome://tracing`) and the counters as a flat results record.
 //!
 //! CARF-specific behavior is visible through the same stream: WR1 type
 //! determination outcomes ride on [`TraceEvent::Writeback`], Long-file
@@ -397,13 +399,19 @@ impl std::fmt::Display for InstTimeline {
     }
 }
 
-#[derive(Debug, Clone, Copy)]
-struct CycleSample {
-    cycle: u64,
-    commits: u64,
-    rob: u32,
-    iq: u32,
-    lsq: u32,
+/// The pipeline occupancy at the end of one cycle inside the window.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct CycleSample {
+    /// The cycle.
+    pub cycle: u64,
+    /// Instructions retired in it.
+    pub commits: u64,
+    /// ROB entries in use.
+    pub rob: u32,
+    /// Issue-queue entries in use.
+    pub iq: u32,
+    /// Load/store-queue entries in use.
+    pub lsq: u32,
 }
 
 /// A [`Tracer`] that folds the event stream into reports and exports.
@@ -461,6 +469,11 @@ impl TraceRecorder {
         cycle >= self.window_start && cycle < self.window_end
     }
 
+    /// The per-cycle occupancy samples inside the window, in cycle order.
+    pub fn samples(&self) -> &[CycleSample] {
+        &self.samples
+    }
+
     /// Total cycles observed.
     pub fn cycles(&self) -> u64 {
         self.total_cycles
@@ -492,135 +505,6 @@ impl TraceRecorder {
                 .map(|c| (c.name(), self.buckets[c.index()]))
                 .collect(),
         }
-    }
-
-    /// Serializes the windowed trace as Chrome trace-event JSON
-    /// (Perfetto-loadable). One simulated cycle maps to 1 µs; retired
-    /// instructions become `"X"` complete events on greedily packed
-    /// lanes, per-cycle occupancies become `"C"` counter events.
-    pub fn chrome_trace_json(&self) -> String {
-        // (ts, rank, json) — rank orders same-ts events deterministically.
-        let mut events: Vec<(u64, u32, String)> = Vec::new();
-        events.push((
-            0,
-            0,
-            "{\"name\":\"process_name\",\"ph\":\"M\",\"pid\":1,\"tid\":0,\
-             \"args\":{\"name\":\"carf-sim pipeline\"}}"
-                .into(),
-        ));
-
-        let mut slices: Vec<&InstTimeline> = self.slices.iter().collect();
-        slices.sort_by_key(|l| (l.dispatched, l.seq));
-        // Greedy lane packing: each lane is a tid; an instruction takes
-        // the first lane free at its dispatch cycle.
-        let mut lane_busy_until: Vec<u64> = Vec::new();
-        for life in slices {
-            let lane = match lane_busy_until.iter().position(|b| *b <= life.dispatched) {
-                Some(i) => i,
-                None => {
-                    lane_busy_until.push(0);
-                    lane_busy_until.len() - 1
-                }
-            };
-            let dur = life.committed.saturating_sub(life.dispatched).max(1);
-            lane_busy_until[lane] = life.dispatched + dur;
-            events.push((
-                life.dispatched,
-                1,
-                format!(
-                    "{{\"name\":\"{}\",\"cat\":\"{:?}\",\"ph\":\"X\",\"ts\":{},\"dur\":{},\
-                     \"pid\":1,\"tid\":{},\"args\":{{\"seq\":{},\"pc\":{},\"issued\":{},\
-                     \"executed\":{}}}}}",
-                    json_escape(&life.inst.to_string()),
-                    life.inst.kind(),
-                    life.dispatched,
-                    dur,
-                    lane + 1,
-                    life.seq,
-                    life.pc,
-                    life.issued,
-                    life.executed,
-                ),
-            ));
-        }
-        for s in &self.samples {
-            events.push((
-                s.cycle,
-                2,
-                format!(
-                    "{{\"name\":\"occupancy\",\"ph\":\"C\",\"ts\":{},\"pid\":1,\"tid\":0,\
-                     \"args\":{{\"rob\":{},\"iq\":{},\"lsq\":{},\"commits\":{}}}}}",
-                    s.cycle, s.rob, s.iq, s.lsq, s.commits
-                ),
-            ));
-        }
-        events.sort_by_key(|(ts, rank, _)| (*ts, *rank));
-
-        let mut out = String::from("{\"displayTimeUnit\":\"ms\",\"traceEvents\":[\n");
-        for (i, (_, _, ev)) in events.iter().enumerate() {
-            out.push_str(ev);
-            if i + 1 < events.len() {
-                out.push(',');
-            }
-            out.push('\n');
-        }
-        out.push_str("]}\n");
-        out
-    }
-
-    /// Serializes the counters, stall buckets, and histogram means as one
-    /// flat JSON object (no trailing newline).
-    pub fn counters_json(&self) -> String {
-        let c = &self.counters;
-        let mut out = format!(
-            "{{\"cycles\":{},\"fetched\":{},\"dispatched\":{},\"issued\":{},\"executed\":{},\
-             \"writebacks\":{},\"wb_retries\":{},\"retired\":{},\"squashed\":{},\
-             \"long_guard_cycles\":{}",
-            self.total_cycles,
-            c.fetched,
-            c.dispatched,
-            c.issued,
-            c.executed,
-            c.writebacks,
-            c.wb_retries,
-            c.retired,
-            c.squashed,
-            c.long_guard_cycles,
-        );
-        out.push_str(&format!(
-            ",\"squash_events\":{{\"mispredict\":{},\"mem_order\":{},\"long_recovery\":{}}}",
-            c.squash_events[0], c.squash_events[1], c.squash_events[2]
-        ));
-        out.push_str(&format!(
-            ",\"dispatch_stalls\":{{\"rob\":{},\"pregs\":{},\"lsq\":{},\"iq\":{},\
-             \"checkpoints\":{}}}",
-            c.dispatch_stalls[0],
-            c.dispatch_stalls[1],
-            c.dispatch_stalls[2],
-            c.dispatch_stalls[3],
-            c.dispatch_stalls[4]
-        ));
-        out.push_str(&format!(
-            ",\"wr1\":{{\"simple\":{},\"short\":{},\"long\":{}}}",
-            c.wr1_simple, c.wr1_short, c.wr1_long
-        ));
-        out.push_str(",\"stall_cycles\":{");
-        for (i, cause) in StallCause::ALL.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str(&format!("\"{}\":{}", cause.name(), self.buckets[cause.index()]));
-        }
-        out.push('}');
-        out.push_str(&format!(
-            ",\"latency_means\":{{\"dispatch_to_issue\":{:.3},\"issue_to_execute\":{:.3},\
-             \"execute_to_retire\":{:.3},\"dispatch_to_retire\":{:.3}}}}}",
-            self.histograms.dispatch_to_issue.mean(),
-            self.histograms.issue_to_execute.mean(),
-            self.histograms.execute_to_retire.mean(),
-            self.histograms.dispatch_to_retire.mean()
-        ));
-        out
     }
 }
 
@@ -750,19 +634,6 @@ impl std::fmt::Display for StallReport {
     }
 }
 
-fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -796,9 +667,8 @@ mod tests {
         assert_eq!(r.counters().retired, 1);
         assert_eq!(r.histograms().dispatch_to_issue.count(), 1);
         assert!((r.histograms().dispatch_to_retire.mean() - 8.0).abs() < 1e-12);
-        let json = r.chrome_trace_json();
-        assert!(json.contains("\"ph\":\"X\""));
-        assert!(json.contains("\"dur\":8"));
+        let life = r.lifetimes()[0];
+        assert_eq!((life.dispatched, life.issued, life.executed, life.committed), (1, 3, 6, 9));
     }
 
     #[test]
@@ -863,23 +733,5 @@ mod tests {
         assert_eq!(h.buckets()[15], 1); // overflow
         assert_eq!(LatencyHistogram::bucket_label(3), "4-7");
         assert_eq!(LatencyHistogram::bucket_label(15), "16384+");
-    }
-
-    #[test]
-    fn counters_json_is_flat_and_complete() {
-        let mut r = TraceRecorder::new();
-        r.event(TraceEvent::Writeback { cycle: 1, seq: 1, class: Some(ValueClass::Short) });
-        r.event(TraceEvent::Cycle {
-            cycle: 1,
-            commits: 0,
-            cause: StallCause::LongWriteback,
-            rob: 1,
-            iq: 0,
-            lsq: 0,
-        });
-        let json = r.counters_json();
-        assert!(json.starts_with('{') && json.ends_with('}'));
-        assert!(json.contains("\"wr1\":{\"simple\":0,\"short\":1,\"long\":0}"));
-        assert!(json.contains("\"long_writeback\":1"));
     }
 }

@@ -23,10 +23,15 @@ cargo test --release -q --manifest-path perfbench/harness/Cargo.toml --target-di
 echo "==> carf-trace smoke test"
 # One traced point end to end: exercises the tracer hooks, the stall
 # attribution invariant (the binary exits non-zero if the buckets do not
-# sum to the cycle count), and both JSON exporters.
-CARF_RESULTS_DIR="$(mktemp -d)" \
+# sum to the cycle count), and both JSON exporters, whose files must
+# load in Python's parser (a check independent of the crate's own).
+TRACE_DIR="$(mktemp -d)"
+CARF_RESULTS_DIR="$TRACE_DIR" \
     cargo run --release -q -p carf-bench --bin carf-trace -- \
     --quick --jobs 2 --machine both sort_kernel >/dev/null
+for f in trace_counters.json traces/sort_kernel_base.json traces/sort_kernel_carf.json; do
+    python3 -c "import json, sys; json.load(open(sys.argv[1]))" "$TRACE_DIR/$f"
+done
 
 echo "==> compare_backends smoke test (backend zoo, cold then warm cache)"
 # All four register-file backends (baseline, CARF, compressed,

@@ -176,3 +176,25 @@ fn table4_mix_fractions_sum_to_one() {
     assert!((sum - 1.0).abs() < 1e-9);
     assert!(stats.operand_mix.same_type_fraction() > 0.3);
 }
+
+#[test]
+fn a_failed_results_write_is_an_error_naming_the_file() {
+    // A regular file where the results directory should be: the cache
+    // stores only warn, but the records write must fail the run.
+    let not_a_dir = std::env::temp_dir().join(format!("carf-results-file-{}", std::process::id()));
+    std::fs::write(&not_a_dir, "not a directory").expect("temp file");
+    let root = carf_bench::parallel::workspace_root();
+    let out = std::process::Command::new(env!("CARGO_BIN_EXE_carf-as"))
+        .args([root.join("corpus/fibonacci.s").to_str().expect("utf-8 path"), "--quick"])
+        .env("CARF_RESULTS_DIR", &not_a_dir)
+        .env_remove("CARF_CACHE_REQUIRE_WARM")
+        .output()
+        .expect("carf-as runs");
+    let _ = std::fs::remove_file(&not_a_dir);
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(!out.status.success(), "exit {:?}; stderr:\n{stderr}", out.status);
+    assert!(
+        stderr.contains("error: could not write") && stderr.contains("corpus_runs.json"),
+        "{stderr}"
+    );
+}
