@@ -236,6 +236,13 @@ impl SimConfig {
         if self.rob_size < 2 {
             return Err("the reorder buffer needs at least 2 entries".into());
         }
+        if self.rob_size > crate::sim::MAX_ROB_SIZE {
+            return Err(format!(
+                "a reorder buffer of {} entries is past the {} an instruction handle can index",
+                self.rob_size,
+                crate::sim::MAX_ROB_SIZE
+            ));
+        }
         if self.int_pregs <= 32 || self.fp_pregs <= 32 {
             return Err("need more than 32 physical registers per file".into());
         }
@@ -325,6 +332,15 @@ mod tests {
         let mut c = SimConfig::paper_baseline();
         c.int_pregs = 32;
         assert!(c.validate().is_err());
+
+        let mut c = SimConfig::paper_baseline();
+        c.rob_size = 1 << 16;
+        assert_eq!(c.validate(), Ok(()));
+        c.rob_size += 1;
+        assert_eq!(
+            c.validate().unwrap_err(),
+            "a reorder buffer of 65537 entries is past the 65536 an instruction handle can index"
+        );
 
         let mut c = SimConfig::paper_carf(CarfParams::paper_default());
         if let RegFileKind::ContentAware(p, _) = &mut c.regfile {

@@ -33,7 +33,8 @@ pub enum MemDepPolicy {
 /// One LSQ entry.
 #[derive(Debug, Clone, Copy)]
 pub struct LsqEntry {
-    /// Global sequence number (program order).
+    /// Program-order key: any number that grows with program order (the
+    /// pipeline uses its ROB handles).
     pub seq: u64,
     /// Load or store.
     pub is_load: bool,
@@ -136,11 +137,14 @@ impl LoadStoreQueue {
         Ok(())
     }
 
+    /// Where entry `seq` sits: entries are sorted by `seq`.
+    fn position(&self, seq: u64) -> Option<usize> {
+        self.entries.binary_search_by_key(&seq, |e| e.seq).ok()
+    }
+
     fn find_mut(&mut self, seq: u64) -> &mut LsqEntry {
-        self.entries
-            .iter_mut()
-            .find(|e| e.seq == seq)
-            .unwrap_or_else(|| panic!("sequence {seq} not in LSQ"))
+        let pos = self.position(seq).unwrap_or_else(|| panic!("sequence {seq} not in LSQ"));
+        &mut self.entries[pos]
     }
 
     /// Records the effective address of entry `seq`.
@@ -165,7 +169,7 @@ impl LoadStoreQueue {
 
     /// The entry for `seq`, if queued.
     pub fn get(&self, seq: u64) -> Option<&LsqEntry> {
-        self.entries.iter().find(|e| e.seq == seq)
+        self.position(seq).map(|pos| &self.entries[pos])
     }
 
     /// Marks load `seq` as having obtained its data (memory access granted
@@ -186,9 +190,10 @@ impl LoadStoreQueue {
     /// dependence violation the pipeline must squash from.
     pub fn store_violation(&self, store_seq: u64, addr: u64, size: u8) -> Option<u64> {
         let (sstart, send) = (addr, addr.checked_add(u64::from(size))?);
+        let younger = self.entries.partition_point(|e| e.seq <= store_seq);
         self.entries
-            .iter()
-            .filter(|e| e.seq > store_seq && e.is_load && e.performed)
+            .range(younger..)
+            .filter(|e| e.is_load && e.performed)
             .filter(|e| {
                 e.range().is_some_and(|(ls, le)| le > sstart && send > ls)
             })
@@ -213,14 +218,15 @@ impl LoadStoreQueue {
     ///
     /// Panics if `seq` is not a queued load with a known address.
     pub fn load_decision_with(&mut self, seq: u64, policy: MemDepPolicy) -> LoadDecision {
-        let load = *self.get(seq).expect("load not in LSQ");
+        let pos = self.position(seq).expect("load not in LSQ");
+        let load = self.entries[pos];
         assert!(load.is_load, "load_decision on a store");
         let (lstart, lend) = match load.range() {
             Some(r) => r,
             None => panic!("load_decision before the load's address is known"),
         };
-        for e in self.entries.iter().rev() {
-            if e.seq >= seq || e.is_load {
+        for e in self.entries.range(..pos).rev() {
+            if e.is_load {
                 continue;
             }
             let (sstart, send) = match e.range() {

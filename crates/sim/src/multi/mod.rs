@@ -252,11 +252,10 @@ impl<T: Tracer> MultiSim<T> {
                 // Grant the `slots` active contexts with the fewest
                 // instructions in flight; ties break toward lower index
                 // (deterministic). N is tiny, so a selection scan beats
-                // sorting machinery.
-                let mut picked = vec![false; n];
+                // sorting machinery; `grants` doubles as the picked set.
                 while granted < slots {
                     let mut best: Option<(usize, usize)> = None;
-                    for (i, taken) in picked.iter().enumerate() {
+                    for (i, taken) in grants.iter().enumerate() {
                         if self.done[i] || *taken {
                             continue;
                         }
@@ -266,7 +265,6 @@ impl<T: Tracer> MultiSim<T> {
                         }
                     }
                     let Some((i, _)) = best else { break };
-                    picked[i] = true;
                     grants[i] = true;
                     granted += 1;
                 }

@@ -22,7 +22,7 @@ impl<R: IntRegFile, T: Tracer> Simulator<R, T> {
             let kind = inst.kind();
 
             // Structural hazards.
-            if self.rob.len() >= self.config.rob_size {
+            if self.rob.is_full() {
                 self.stats.dispatch_stalls.rob += 1;
                 self.dispatch_stall_event(DispatchStallCause::Rob);
                 break;
@@ -65,6 +65,7 @@ impl<R: IntRegFile, T: Tracer> Simulator<R, T> {
             self.fetch_q.pop_front();
             self.seq_counter += 1;
             let seq = self.seq_counter;
+            let handle = self.rob.next_handle(seq);
 
             let mut srcs = [Src::None, Src::None];
             for (i, s) in inst.sources().iter().enumerate() {
@@ -108,7 +109,7 @@ impl<R: IntRegFile, T: Tracer> Simulator<R, T> {
                     _ => store_bytes(store_width(inst.op)) as u8,
                 };
                 self.lsq
-                    .try_push(seq, kind == InstKind::Load, size)
+                    .try_push(handle, kind == InstKind::Load, size)
                     .expect("fullness checked above");
             }
             if takes_checkpoint {
@@ -126,11 +127,11 @@ impl<R: IntRegFile, T: Tracer> Simulator<R, T> {
                 // still change, and queue the first issue evaluation for
                 // the earliest cycle the operands allow (issue has already
                 // run this cycle, so never before `now + 1`).
-                self.register_consumers(seq, srcs);
-                self.requeue_waiting(seq, srcs, self.now + 1);
+                self.register_consumers(handle, srcs);
+                self.requeue_waiting(handle, srcs, self.now + 1);
             }
             self.rob.push_back(Slot {
-                seq,
+                handle,
                 pc: fetched.pc,
                 inst,
                 kind,

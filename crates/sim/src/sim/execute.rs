@@ -6,25 +6,25 @@ impl<R: IntRegFile, T: Tracer> Simulator<R, T> {
     // ----- execute -------------------------------------------------------
 
     pub(super) fn exec_complete(&mut self) {
-        let mut seqs = std::mem::take(&mut self.event_scratch);
-        debug_assert!(seqs.is_empty());
-        self.completion_wheel.drain_into(self.now, &mut seqs);
-        for &seq in &seqs {
+        let mut handles = std::mem::take(&mut self.event_scratch);
+        debug_assert!(handles.is_empty());
+        self.completion_wheel.drain_into(self.now, &mut handles);
+        for &handle in &handles {
             // Squashed events (a mid-list branch resolution may flush
             // younger entries) are skipped lazily.
-            let Some(idx) = self.slot_index(seq) else { continue };
+            let Some(idx) = self.rob.slot_index(handle) else { continue };
             match self.rob[idx].state {
-                SlotState::Captured => self.finish_execution(seq),
-                SlotState::WaitData => self.finish_load(seq),
+                SlotState::Captured => self.finish_execution(handle),
+                SlotState::WaitData => self.finish_load(handle),
                 _ => {}
             }
         }
-        seqs.clear();
-        self.event_scratch = seqs;
+        handles.clear();
+        self.event_scratch = handles;
     }
 
-    pub(super) fn finish_execution(&mut self, seq: u64) {
-        let idx = self.slot_index(seq).expect("slot vanished mid-execution");
+    pub(super) fn finish_execution(&mut self, handle: u64) {
+        let idx = self.rob.slot_index(handle).expect("slot vanished mid-execution");
         let slot = &self.rob[idx];
         let (a, b) = (slot.src_vals[0], slot.src_vals[1]);
         let inst = slot.inst;
@@ -36,36 +36,36 @@ impl<R: IntRegFile, T: Tracer> Simulator<R, T> {
             InstKind::Load | InstKind::Store => {
                 let addr = a.wrapping_add(inst.imm as u64);
                 self.rob[idx].mem_addr = Some(addr);
-                self.lsq.set_addr(seq, addr);
+                self.lsq.set_addr(handle, addr);
                 // The Short file learns computed addresses here, in
                 // parallel with the AGU (paper §3.1).
                 self.int_rf.observe_address(addr);
                 if kind == InstKind::Store {
-                    self.lsq.set_store_data(seq, b);
+                    self.lsq.set_store_data(handle, b);
                     self.rob[idx].state = SlotState::Completed;
                     if T::ENABLED {
                         // Address generation done: the store is executed.
+                        let seq = seq_of(handle);
                         self.tracer.event(TraceEvent::Execute { cycle: self.now, seq });
                     }
                     // Optimistic disambiguation: a younger load may already
                     // have read stale data for this address — squash from it.
                     if self.config.mem_dep == MemDepPolicy::Optimistic {
-                        let size = self.lsq.get(seq).expect("store queued").size;
-                        if let Some(victim) = self.lsq.store_violation(seq, addr, size) {
+                        let size = self.lsq.get(handle).expect("store queued").size;
+                        if let Some(victim) = self.lsq.store_violation(handle, addr, size) {
                             self.stats.mem_dep_violations += 1;
-                            let target = {
-                                let v = self
-                                    .slot_index(victim)
-                                    .expect("violating load is in flight");
-                                self.rob[v].pc
-                            };
-                            self.squash_younger_than(victim - 1, SquashReason::MemOrder);
+                            let v = self
+                                .rob
+                                .slot_index(victim)
+                                .expect("violating load is in flight");
+                            let target = self.rob[v].pc;
+                            self.squash_younger_than(seq_of(victim) - 1, SquashReason::MemOrder);
                             self.redirect_fetch(target);
                         }
                     }
                 } else {
                     self.rob[idx].state = SlotState::WaitDisambig;
-                    self.pending_loads.push(seq);
+                    self.pending_loads.push(handle);
                 }
                 return;
             }
@@ -133,30 +133,30 @@ impl<R: IntRegFile, T: Tracer> Simulator<R, T> {
         }
 
         match result {
-            Some(value) => self.complete_with_result(seq, value),
+            Some(value) => self.complete_with_result(handle, value),
             None => {
-                let idx = self.slot_index(seq).expect("slot vanished");
+                let idx = self.rob.slot_index(handle).expect("slot vanished");
                 self.rob[idx].state = SlotState::Completed;
                 if T::ENABLED {
-                    self.tracer.event(TraceEvent::Execute { cycle: self.now, seq });
+                    self.tracer.event(TraceEvent::Execute { cycle: self.now, seq: seq_of(handle) });
                 }
             }
         }
 
         if let Some(target) = squash_to {
             self.stats.mispredicts += 1;
-            self.squash_younger_than(seq, SquashReason::Mispredict);
+            self.squash_younger_than(seq_of(handle), SquashReason::Mispredict);
             self.redirect_fetch(target);
         }
     }
 
     /// Publishes a computed result: updates the bypass scoreboard and
     /// queues the register write (or completes, for `x0` destinations).
-    pub(super) fn complete_with_result(&mut self, seq: u64, value: u64) {
-        let idx = self.slot_index(seq).expect("slot vanished");
+    pub(super) fn complete_with_result(&mut self, handle: u64, value: u64) {
+        let idx = self.rob.slot_index(handle).expect("slot vanished");
         self.rob[idx].result = value;
         if T::ENABLED {
-            self.tracer.event(TraceEvent::Execute { cycle: self.now, seq });
+            self.tracer.event(TraceEvent::Execute { cycle: self.now, seq: seq_of(handle) });
         }
         match self.rob[idx].dest {
             Some(dest) => {
@@ -166,7 +166,7 @@ impl<R: IntRegFile, T: Tracer> Simulator<R, T> {
                 st.cap_avail_at = self.now;
                 st.valid = true;
                 self.rob[idx].state = SlotState::WbPending;
-                self.wb_pending.push(seq);
+                self.wb_pending.push(handle);
                 // The value is on the bypass network this cycle; waiting
                 // consumers can be selected from this cycle's issue stage.
                 self.wake_consumers(dest.is_int, dest.new, self.now);
@@ -177,10 +177,10 @@ impl<R: IntRegFile, T: Tracer> Simulator<R, T> {
         }
     }
 
-    pub(super) fn finish_load(&mut self, seq: u64) {
-        let idx = self.slot_index(seq).expect("slot vanished");
+    pub(super) fn finish_load(&mut self, handle: u64) {
+        let idx = self.rob.slot_index(handle).expect("slot vanished");
         let value = self.rob[idx].load_data;
-        self.complete_with_result(seq, value);
+        self.complete_with_result(handle, value);
     }
 
     // ----- memory stage --------------------------------------------------
@@ -188,22 +188,22 @@ impl<R: IntRegFile, T: Tracer> Simulator<R, T> {
     pub(super) fn memory_stage(&mut self) {
         // Same swap-through-scratch pattern as writeback: loads that cannot
         // start go straight back into `pending_loads`.
-        std::mem::swap(&mut self.pending_loads, &mut self.seq_scratch);
-        for pi in 0..self.seq_scratch.len() {
-            let seq = self.seq_scratch[pi];
-            let Some(idx) = self.slot_index(seq) else { continue };
+        std::mem::swap(&mut self.pending_loads, &mut self.handle_scratch);
+        for pi in 0..self.handle_scratch.len() {
+            let handle = self.handle_scratch[pi];
+            let Some(idx) = self.rob.slot_index(handle) else { continue };
             if self.rob[idx].state != SlotState::WaitDisambig {
                 continue;
             }
             let inst = self.rob[idx].inst;
             let addr = self.rob[idx].mem_addr.expect("load in memory stage without address");
-            match self.lsq.load_decision_with(seq, self.config.mem_dep) {
+            match self.lsq.load_decision_with(handle, self.config.mem_dep) {
                 LoadDecision::Forward(raw) => {
                     let v = extend_load(load_width(inst.op), raw);
                     self.rob[idx].load_data = v;
                     self.rob[idx].state = SlotState::WaitData;
-                    self.lsq.mark_performed(seq);
-                    self.completion_wheel.schedule(self.now, self.now + 1, seq);
+                    self.lsq.mark_performed(handle);
+                    self.completion_wheel.schedule(self.now, self.now + 1, handle);
                 }
                 LoadDecision::Memory => {
                     if self.hier.try_dl1_port() {
@@ -216,9 +216,9 @@ impl<R: IntRegFile, T: Tracer> Simulator<R, T> {
                         };
                         self.rob[idx].load_data = extend_load(width, raw);
                         self.rob[idx].state = SlotState::WaitData;
-                        self.lsq.mark_performed(seq);
+                        self.lsq.mark_performed(handle);
                         let done = self.now + latency;
-                        self.completion_wheel.schedule(self.now, done, seq);
+                        self.completion_wheel.schedule(self.now, done, handle);
                         // Load-resolution wakeup: the return time is now
                         // known, so dependents may schedule against it.
                         if let Some(dest) = self.rob[idx].dest {
@@ -232,17 +232,17 @@ impl<R: IntRegFile, T: Tracer> Simulator<R, T> {
                             self.wake_consumers(dest.is_int, dest.new, at);
                         }
                     } else {
-                        self.pending_loads.push(seq);
+                        self.pending_loads.push(handle);
                     }
                 }
-                LoadDecision::Wait => self.pending_loads.push(seq),
+                LoadDecision::Wait => self.pending_loads.push(handle),
             }
         }
-        self.seq_scratch.clear();
+        self.handle_scratch.clear();
         // Any load that could not start this cycle has missed its hit
         // speculation: cancel the optimistic wakeup until it is granted.
         for pi in 0..self.pending_loads.len() {
-            if let Some(idx) = self.slot_index(self.pending_loads[pi]) {
+            if let Some(idx) = self.rob.slot_index(self.pending_loads[pi]) {
                 if let Some(dest) = self.rob[idx].dest {
                     let bank =
                         if dest.is_int { &mut self.int_pregs } else { &mut self.fp_pregs };
@@ -255,11 +255,11 @@ impl<R: IntRegFile, T: Tracer> Simulator<R, T> {
     // ----- operand capture -----------------------------------------------
 
     pub(super) fn capture_operands(&mut self) {
-        let mut seqs = std::mem::take(&mut self.event_scratch);
-        debug_assert!(seqs.is_empty());
-        self.capture_wheel.drain_into(self.now, &mut seqs);
-        for &seq in &seqs {
-            let Some(idx) = self.slot_index(seq) else { continue };
+        let mut handles = std::mem::take(&mut self.event_scratch);
+        debug_assert!(handles.is_empty());
+        self.capture_wheel.drain_into(self.now, &mut handles);
+        for &handle in &handles {
+            let Some(idx) = self.rob.slot_index(handle) else { continue };
             if self.rob[idx].state != SlotState::Issued {
                 continue;
             }
@@ -298,8 +298,8 @@ impl<R: IntRegFile, T: Tracer> Simulator<R, T> {
                 // wakeup lists) and re-evaluate from this cycle's issue
                 // stage, exactly when the scan-based scheduler would next
                 // have seen it.
-                self.register_consumers(seq, srcs);
-                self.requeue_waiting(seq, srcs, self.now);
+                self.register_consumers(handle, srcs);
+                self.requeue_waiting(handle, srcs, self.now);
                 continue;
             }
             let mut vals = [0u64; 2];
@@ -335,10 +335,10 @@ impl<R: IntRegFile, T: Tracer> Simulator<R, T> {
             self.rob[idx].src_vals = vals;
             self.rob[idx].state = SlotState::Captured;
             let latency = self.exec_latency(self.rob[idx].kind);
-            self.completion_wheel.schedule(self.now, self.now + latency, seq);
+            self.completion_wheel.schedule(self.now, self.now + latency, handle);
         }
-        seqs.clear();
-        self.event_scratch = seqs;
+        handles.clear();
+        self.event_scratch = handles;
     }
 
     /// Parks a waiting instruction on the wakeup list of every source
@@ -347,14 +347,14 @@ impl<R: IntRegFile, T: Tracer> Simulator<R, T> {
     /// wakeup, revocation, completion, writeback), and each change fires
     /// the list. A source already granted (`in_rf_at` finite) is frozen —
     /// `requeue_waiting` computes its exact readiness, no parking needed.
-    pub(super) fn register_consumers(&mut self, seq: u64, srcs: [Src; 2]) {
+    pub(super) fn register_consumers(&mut self, handle: u64, srcs: [Src; 2]) {
         for src in srcs {
             match src {
                 Src::Int(p) if self.int_pregs[p as usize].in_rf_at == NEVER => {
-                    self.int_consumers[p as usize].push(seq);
+                    self.int_consumers[p as usize].push(handle);
                 }
                 Src::Fp(p) if self.fp_pregs[p as usize].in_rf_at == NEVER => {
-                    self.fp_consumers[p as usize].push(seq);
+                    self.fp_consumers[p as usize].push(handle);
                 }
                 _ => {}
             }

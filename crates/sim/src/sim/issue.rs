@@ -23,13 +23,14 @@ impl<R: IntRegFile, T: Tracer> Simulator<R, T> {
         let mut list = std::mem::take(list);
         let mut keep = 0usize;
         for i in 0..list.len() {
-            let seq = list[i];
+            let handle = list[i];
             let waiting = self
-                .slot_index(seq)
+                .rob
+                .slot_index(handle)
                 .is_some_and(|idx| self.rob[idx].state == SlotState::Waiting);
             if waiting {
-                self.wake_wheel.schedule(self.now, at, seq);
-                list[keep] = seq;
+                self.wake_wheel.schedule(self.now, at, handle);
+                list[keep] = handle;
                 keep += 1;
             }
         }
@@ -77,7 +78,7 @@ impl<R: IntRegFile, T: Tracer> Simulator<R, T> {
     /// earliest cycle (`>= from`) all of its operands could be captured.
     /// If any operand has no schedulable capture, the instruction is not
     /// queued at all — it is parked on that operand's wakeup list.
-    pub(super) fn requeue_waiting(&mut self, seq: u64, srcs: [Src; 2], from: u64) {
+    pub(super) fn requeue_waiting(&mut self, handle: u64, srcs: [Src; 2], from: u64) {
         let mut when = from;
         for src in srcs {
             match self.operand_next_cycle(src, from) {
@@ -85,7 +86,7 @@ impl<R: IntRegFile, T: Tracer> Simulator<R, T> {
                 None => return,
             }
         }
-        self.wake_wheel.schedule(self.now, when, seq);
+        self.wake_wheel.schedule(self.now, when, handle);
     }
 
     // ----- issue ---------------------------------------------------------
@@ -120,7 +121,7 @@ impl<R: IntRegFile, T: Tracer> Simulator<R, T> {
                 self.tracer.event(TraceEvent::LongGuard { cycle: self.now });
             }
         }
-        let oldest = self.rob.front().map(|s| s.seq);
+        let oldest = self.rob.front().map(|s| s.handle);
         let capture_cycle = self.now + self.read_stages;
         // Event-driven candidate set: only instructions woken for this
         // cycle are evaluated, instead of rescanning both issue queues.
@@ -140,24 +141,24 @@ impl<R: IntRegFile, T: Tracer> Simulator<R, T> {
         let mut issued = 0usize;
         let mut ci = 0usize;
         while ci < self.issue_cand.len() {
-            let seq = self.issue_cand[ci];
+            let handle = self.issue_cand[ci];
             if issued >= self.config.issue_width {
                 // Issue width exhausted: everything still pending retries
                 // next cycle (the rescan scheduler re-saw it every cycle).
                 for wi in ci..self.issue_cand.len() {
-                    let s = self.issue_cand[wi];
-                    self.wake_wheel.schedule(self.now, self.now + 1, s);
+                    let h = self.issue_cand[wi];
+                    self.wake_wheel.schedule(self.now, self.now + 1, h);
                 }
                 break;
             }
             ci += 1;
             // Squashed or already-issued wakeups drop out here.
-            let Some(idx) = self.slot_index(seq) else { continue };
+            let Some(idx) = self.rob.slot_index(handle) else { continue };
             if self.rob[idx].state != SlotState::Waiting {
                 continue;
             }
-            if guard && Some(seq) != oldest {
-                self.wake_wheel.schedule(self.now, self.now + 1, seq);
+            if guard && Some(handle) != oldest {
+                self.wake_wheel.schedule(self.now, self.now + 1, handle);
                 continue;
             }
             let kind = self.rob[idx].kind;
@@ -197,7 +198,7 @@ impl<R: IntRegFile, T: Tracer> Simulator<R, T> {
             if !ready {
                 // Re-evaluate at the operands' next possible capture (or
                 // park on a producer's wakeup list if none is known).
-                self.requeue_waiting(seq, srcs, self.now + 1);
+                self.requeue_waiting(handle, srcs, self.now + 1);
                 continue;
             }
 
@@ -206,11 +207,11 @@ impl<R: IntRegFile, T: Tracer> Simulator<R, T> {
             // are structural: retry next cycle.
             if int_reads > 0 && !self.int_read_ports.try_acquire_n(int_reads) {
                 self.stats.rf_read_port_denials += 1;
-                self.wake_wheel.schedule(self.now, self.now + 1, seq);
+                self.wake_wheel.schedule(self.now, self.now + 1, handle);
                 continue;
             }
             if fp_reads > 0 && !self.fp_read_ports.try_acquire_n(fp_reads) {
-                self.wake_wheel.schedule(self.now, self.now + 1, seq);
+                self.wake_wheel.schedule(self.now, self.now + 1, handle);
                 continue;
             }
 
@@ -226,7 +227,7 @@ impl<R: IntRegFile, T: Tracer> Simulator<R, T> {
                 _ => &mut self.int_fus,
             };
             if !pool.try_acquire(exec_start, duration) {
-                self.wake_wheel.schedule(self.now, self.now + 1, seq);
+                self.wake_wheel.schedule(self.now, self.now + 1, handle);
                 continue;
             }
 
@@ -234,9 +235,9 @@ impl<R: IntRegFile, T: Tracer> Simulator<R, T> {
             self.rob[idx].state = SlotState::Issued;
             self.rob[idx].src_from_rf = from_rf;
             if T::ENABLED {
-                self.tracer.event(TraceEvent::Issue { cycle: self.now, seq });
+                self.tracer.event(TraceEvent::Issue { cycle: self.now, seq: seq_of(handle) });
             }
-            self.capture_wheel.schedule(self.now, capture_cycle, seq);
+            self.capture_wheel.schedule(self.now, capture_cycle, handle);
             // Speculative wakeup: consumers may be selected against the
             // scheduled completion time of this producer. Loads are woken
             // assuming an L1 hit (address generation + hit latency);

@@ -10,10 +10,11 @@
 //! Long-allocation stall), and in-order commit with golden-model
 //! co-simulation.
 //!
-//! Branch recovery rebuilds the rename map by walking the ROB from the
-//! committed map (equivalent to checkpoint restoration); the number of
-//! simultaneously unresolved branches is still bounded by
-//! [`SimConfig::checkpoints`], modeling the hardware checkpoint budget.
+//! Branch recovery restores the rename map by undoing the squashed
+//! suffix's renames youngest first (equivalent to checkpoint
+//! restoration); the number of simultaneously unresolved branches is
+//! still bounded by [`SimConfig::checkpoints`], modeling the hardware
+//! checkpoint budget.
 //!
 //! # Module layout
 //!
@@ -21,7 +22,8 @@
 //! support types) plus the per-cycle driver; each pipeline stage lives in
 //! its own submodule as an `impl` block over the same state:
 //! [`fetch`](self), `dispatch`, `issue`, `execute`, `writeback`, `retire`,
-//! and `recovery`. [`AnySimulator`] (in `any`) is the enum-dispatched
+//! and `recovery`. The reorder buffer and the handles every pipeline event
+//! carries live in `rob`. [`AnySimulator`] (in `any`) is the enum-dispatched
 //! facade for runtime [`RegFileKind`] selection; the generic
 //! `Simulator<R, _>` itself is monomorphized per register-file backend.
 
@@ -32,11 +34,13 @@ mod fetch;
 mod issue;
 mod recovery;
 mod retire;
+mod rob;
 #[cfg(test)]
 mod tests;
 mod writeback;
 
 pub use any::AnySimulator;
+pub(crate) use rob::MAX_ROB_SIZE;
 
 use std::collections::{BTreeMap, VecDeque};
 
@@ -57,6 +61,7 @@ use crate::lsq::{LoadDecision, LoadStoreQueue, MemDepPolicy};
 use crate::rename::{Preg, RenameTables};
 use crate::stats::SimStats;
 use crate::trace::{DispatchStallCause, NopTracer, SquashReason, StallCause, TraceEvent, Tracer};
+use rob::{last_handle_of, seq_of, Rob};
 
 /// Sentinel for "not scheduled yet".
 const NEVER: u64 = u64::MAX;
@@ -90,15 +95,15 @@ impl TimingWheel {
         }
     }
 
-    /// Schedules `seq` for cycle `when` (`when >= now`; a slot is reused
-    /// only after its cycle has drained, so the ring never wraps onto a
-    /// live slot within the horizon).
-    fn schedule(&mut self, now: u64, when: u64, seq: u64) {
+    /// Schedules `handle` for cycle `when` (`when >= now`; a slot is
+    /// reused only after its cycle has drained, so the ring never wraps
+    /// onto a live slot within the horizon).
+    fn schedule(&mut self, now: u64, when: u64, handle: u64) {
         debug_assert!(when >= now, "scheduling into the past: {when} < {now}");
         if when - now < self.slots.len() as u64 {
-            self.slots[(when & self.mask) as usize].push(seq);
+            self.slots[(when & self.mask) as usize].push(handle);
         } else {
-            self.overflow.entry(when).or_default().push(seq);
+            self.overflow.entry(when).or_default().push(handle);
         }
     }
 
@@ -225,9 +230,11 @@ enum SlotState {
     Completed,
 }
 
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Copy)]
 struct Slot {
-    seq: u64,
+    /// This instruction's ROB handle (see `rob`); 0 marks a vacant
+    /// position.
+    handle: u64,
     pc: u64,
     inst: Inst,
     kind: InstKind,
@@ -248,6 +255,29 @@ struct Slot {
 }
 
 impl Slot {
+    /// What a ring position holds before its first dispatch and after each
+    /// commit or squash (only the handle is reset then).
+    const VACANT: Slot = Slot {
+        handle: 0,
+        pc: 0,
+        inst: Inst { op: Opcode::Nop, rd: 0, rs1: 0, rs2: 0, imm: 0 },
+        kind: InstKind::Nop,
+        pred_next: 0,
+        dest: None,
+        srcs: [Src::None; 2],
+        src_from_rf: [false; 2],
+        src_vals: [0; 2],
+        state: SlotState::Completed,
+        wb_done_at: NEVER,
+        actual_next: 0,
+        mem_addr: None,
+        load_data: 0,
+        result: 0,
+        branch_unresolved: false,
+        wb_fail_cycles: 0,
+        cond_pred: None,
+    };
+
     fn is_mem(&self) -> bool {
         matches!(self.kind, InstKind::Load | InstKind::Store)
     }
@@ -333,7 +363,7 @@ pub struct Simulator<R: IntRegFile, T: Tracer = NopTracer> {
     // Rename and in-flight structures.
     rename: RenameTables,
     unresolved_branches: usize,
-    rob: VecDeque<Slot>,
+    rob: Rob,
     int_iq_len: usize,
     fp_iq_len: usize,
     lsq: LoadStoreQueue,
@@ -351,7 +381,9 @@ pub struct Simulator<R: IntRegFile, T: Tracer = NopTracer> {
     fp_write_ports: PortMeter,
     // Event-driven scheduling: timing wheels make per-cycle event cost
     // proportional to the events that fire, and per-preg consumer lists
-    // make wakeup O(woken) instead of a full issue-queue rescan.
+    // make wakeup O(woken) instead of a full issue-queue rescan. Every
+    // list holds ROB handles; a squashed or committed entry's handle
+    // stops resolving and is skipped lazily.
     capture_wheel: TimingWheel,
     completion_wheel: TimingWheel,
     wake_wheel: TimingWheel,
@@ -362,7 +394,7 @@ pub struct Simulator<R: IntRegFile, T: Tracer = NopTracer> {
     // Reusable scratch buffers: the per-cycle stages below swap through
     // these instead of allocating, so the steady-state hot loop is
     // allocation-free.
-    seq_scratch: Vec<u64>,
+    handle_scratch: Vec<u64>,
     issue_cand: Vec<u64>,
     event_scratch: Vec<u64>,
     oracle_scratch: Vec<u64>,
@@ -655,7 +687,7 @@ impl<R: RegFileBackend, T: Tracer> Simulator<R, T> {
             bpred: BranchPredictor::new(&config.bpred),
             rename,
             unresolved_branches: 0,
-            rob: VecDeque::new(),
+            rob: Rob::new(config.rob_size),
             int_iq_len: 0,
             fp_iq_len: 0,
             lsq: LoadStoreQueue::new(config.lsq_size),
@@ -676,7 +708,7 @@ impl<R: RegFileBackend, T: Tracer> Simulator<R, T> {
             fp_consumers: vec![Vec::new(); config.fp_pregs],
             pending_loads: Vec::new(),
             wb_pending: Vec::new(),
-            seq_scratch: Vec::new(),
+            handle_scratch: Vec::new(),
             issue_cand: Vec::new(),
             event_scratch: Vec::new(),
             oracle_scratch: Vec::new(),
@@ -914,40 +946,6 @@ impl<R: IntRegFile, T: Tracer> Simulator<R, T> {
             self.stats.short_mean_occupancy = occ.short_mean_occupancy;
             self.stats.long_occupancy_hist = occ.long_occupancy_hist;
         }
-    }
-
-    /// ROB lookup with an O(1) fast path. Sequence numbers increase by one
-    /// per dispatch, so with no squash between `front` and `seq` the
-    /// offset from the head IS the position. A squash burns the numbers of
-    /// its victims (the counter never rewinds), which only shifts younger
-    /// entries left: `rob[i].seq >= front + i` always, so the true
-    /// position is never right of the probe, and a prefix binary search
-    /// covers the post-squash case.
-    fn slot_index(&self, seq: u64) -> Option<usize> {
-        let front = self.rob.front()?.seq;
-        if seq < front {
-            return None;
-        }
-        let probe = ((seq - front) as usize).min(self.rob.len() - 1);
-        let probe_seq = self.rob[probe].seq;
-        if probe_seq == seq {
-            return Some(probe);
-        }
-        if probe_seq < seq {
-            // Only possible when the probe clamped to the back: `seq` is
-            // younger than everything live (it was squashed).
-            return None;
-        }
-        let (mut lo, mut hi) = (0usize, probe);
-        while lo < hi {
-            let mid = (lo + hi) / 2;
-            if self.rob[mid].seq < seq {
-                lo = mid + 1;
-            } else {
-                hi = mid;
-            }
-        }
-        (lo < probe && self.rob[lo].seq == seq).then_some(lo)
     }
 
     // ----- per-cycle machinery ------------------------------------------

@@ -21,13 +21,20 @@ impl<R: IntRegFile, T: Tracer> Simulator<R, T> {
     /// committed RAT plus the surviving prefix renames, i.e. exactly what
     /// a forward rebuild from the committed map produces). Surviving
     /// instructions are never visited, and no pending-event list is swept:
-    /// squashed sequence numbers — never reused — are dropped lazily when
-    /// their ROB lookup or state check fails.
+    /// a squashed instruction's handle stops resolving as its ROB position
+    /// is vacated, and stays unresolvable when a later dispatch (under a
+    /// larger dispatch number) reuses the position, so pending events for
+    /// it are dropped lazily when their ROB lookup fails.
+    ///
+    /// `keep_seq` is a dispatch number, not a handle: the memory-order
+    /// squash keeps everything older than its victim, whose predecessor
+    /// may itself be gone.
     pub(super) fn squash_younger_than(&mut self, keep_seq: u64, reason: SquashReason) {
         let squashed_before = self.stats.squashed;
         let mut int_map = *self.rename.int_map();
         let mut fp_map = *self.rename.fp_map();
-        while matches!(self.rob.back(), Some(s) if s.seq > keep_seq) {
+        let bound = last_handle_of(keep_seq);
+        while matches!(self.rob.back(), Some(s) if s.handle > bound) {
             let slot = self.rob.pop_back().expect("checked above");
             self.stats.squashed += 1;
             if slot.branch_unresolved {
@@ -55,7 +62,7 @@ impl<R: IntRegFile, T: Tracer> Simulator<R, T> {
             }
         }
         self.rename.set_maps(int_map, fp_map);
-        self.lsq.squash_after(keep_seq);
+        self.lsq.squash_after(bound);
         if T::ENABLED {
             self.tracer.event(TraceEvent::Squash {
                 cycle: self.now,

@@ -81,7 +81,10 @@ impl<R: IntRegFile, T: Tracer> Simulator<R, T> {
                 let Some(addr) = addr else {
                     return Err(SimError::Internal {
                         cycle: self.now,
-                        detail: format!("store seq {} committing without an address", slot.seq),
+                        detail: format!(
+                            "store seq {} committing without an address",
+                            seq_of(slot.handle)
+                        ),
                     });
                 };
                 self.hier.data_access(addr, true);
@@ -115,7 +118,7 @@ impl<R: IntRegFile, T: Tracer> Simulator<R, T> {
         if T::ENABLED {
             self.tracer.event(TraceEvent::Retire {
                 cycle: self.now,
-                seq: slot.seq,
+                seq: seq_of(slot.handle),
                 pc: slot.pc,
             });
         }
@@ -154,7 +157,7 @@ impl<R: IntRegFile, T: Tracer> Simulator<R, T> {
         }
 
         if slot.is_mem() {
-            self.lsq.pop_commit(slot.seq);
+            self.lsq.pop_commit(slot.handle);
         }
         if let Some(dest) = slot.dest {
             if dest.is_int {
@@ -183,7 +186,7 @@ impl<R: IntRegFile, T: Tracer> Simulator<R, T> {
     pub(super) fn check_golden(&mut self, slot: &Slot) -> Result<(), SimError> {
         let Some(golden) = self.golden.as_mut() else { return Ok(()) };
         let mismatch = |detail: String| SimError::CosimMismatch {
-            seq: slot.seq,
+            seq: seq_of(slot.handle),
             pc: slot.pc,
             detail,
         };

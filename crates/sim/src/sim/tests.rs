@@ -1,6 +1,8 @@
 #[cfg(test)]
 mod pipeline_tests {
+    use crate::lsq::MemDepPolicy;
     use crate::sim::*;
+    use crate::trace::TraceRecorder;
     use carf_core::{CarfParams, Policies};
     use carf_isa::{f, x, Asm};
 
@@ -190,6 +192,96 @@ mod pipeline_tests {
         assert!(r.halted);
         assert!(sim.stats().mispredicts > 10, "mispredicts = {}", sim.stats().mispredicts);
         assert!(sim.stats().squashed > 0);
+    }
+
+    #[test]
+    fn a_four_entry_rob_skips_stale_events_on_reused_positions() {
+        // Four ROB positions are reused every few dispatches while
+        // squashed instructions still have completion events in flight: a
+        // divide issued beside a branch that waits on another divide, and
+        // loads squashed by stores whose late addresses they overlap
+        // (optimistic policy). Such an event must be skipped, never applied
+        // to the position's new occupant. Co-simulation checks every value,
+        // and the recorded lifetimes check that nothing completed early.
+        let kernel = || {
+            let mut asm = Asm::new();
+            let table = asm.alloc_u64s(&[3, 1, 4, 1, 5, 9, 2, 6]);
+            asm.li(x(10), table);
+            asm.li(x(1), 12345); // lcg state
+            asm.li(x(3), 300); // iterations
+            asm.li(x(5), 6364136223846793005u64);
+            asm.li(x(6), 1442695040888963407u64);
+            asm.li(x(7), 0); // running sum
+            asm.li(x(16), 3);
+            asm.label("loop");
+            asm.mul(x(1), x(1), x(5));
+            asm.add(x(1), x(1), x(6));
+            asm.div(x(4), x(1), x(16));
+            asm.andi(x(11), x(4), 1);
+            asm.beq(x(11), x(0), "skip");
+            asm.div(x(12), x(4), x(16));
+            asm.add(x(7), x(7), x(12));
+            asm.label("skip");
+            asm.srli(x(8), x(4), 61);
+            asm.slli(x(8), x(8), 3);
+            asm.add(x(8), x(10), x(8));
+            asm.ld(x(9), x(8), 0);
+            asm.add(x(7), x(7), x(9));
+            // A store whose address waits on a divide, then a load of the
+            // same word (the quotient is almost always 0).
+            asm.div(x(13), x(7), x(5));
+            asm.add(x(14), x(10), x(13));
+            asm.st(x(7), x(14), 8);
+            asm.ld(x(15), x(10), 8);
+            asm.add(x(7), x(7), x(15));
+            asm.addi(x(3), x(3), -1);
+            asm.bne(x(3), x(0), "loop");
+            asm.halt();
+            asm.finish().expect("assembly")
+        };
+        let carf = RegFileKind::ContentAware(
+            CarfParams { simple_entries: 64, ..CarfParams::paper_default() },
+            Policies::default(),
+        );
+        let reference = AnySimulator::new(SimConfig::test_small(), &kernel())
+            .run(5_000_000)
+            .expect("simulation");
+        for regfile in [RegFileKind::Baseline, carf] {
+            for mem_dep in [MemDepPolicy::Conservative, MemDepPolicy::Optimistic] {
+                let mut cfg = SimConfig::test_small();
+                cfg.rob_size = 4;
+                cfg.regfile = regfile.clone();
+                cfg.mem_dep = mem_dep;
+                assert!(cfg.cosim);
+                let recorder = TraceRecorder::with_window(0, u64::MAX);
+                let mut sim = AnySimulator::with_tracer(cfg.clone(), &kernel(), recorder);
+                let r = sim.run(5_000_000).expect("simulation");
+                assert!(r.halted && r.committed == reference.committed, "{r:?}");
+                let stats = sim.stats();
+                assert!(stats.dispatch_stalls.rob > 0, "the ROB never filled");
+                assert!(stats.mispredicts > 10, "mispredicts = {}", stats.mispredicts);
+                if mem_dep == MemDepPolicy::Optimistic {
+                    assert!(stats.mem_dep_violations > 0, "no memory-order squash");
+                }
+                // Issue, then at least one read stage, then the unit.
+                for life in sim.tracer().lifetimes() {
+                    let latency = match life.inst.kind() {
+                        InstKind::IntDiv => cfg.div_latency,
+                        InstKind::IntMul => cfg.mul_latency,
+                        InstKind::Load => 2, // address generation, then the access
+                        InstKind::Nop | InstKind::Halt => continue,
+                        _ => 1,
+                    };
+                    assert!(
+                        life.executed >= life.issued + 1 + latency,
+                        "{} issued at {} completed at {}",
+                        life.inst,
+                        life.issued,
+                        life.executed
+                    );
+                }
+            }
+        }
     }
 
     #[test]

@@ -17,11 +17,11 @@ impl<R: IntRegFile, T: Tracer> Simulator<R, T> {
         // Swap the pending list into the scratch buffer and refill
         // `wb_pending` with whatever must retry; both allocations persist
         // across cycles.
-        std::mem::swap(&mut self.wb_pending, &mut self.seq_scratch);
+        std::mem::swap(&mut self.wb_pending, &mut self.handle_scratch);
         let mut recovery: Option<u64> = None;
-        for wi in 0..self.seq_scratch.len() {
-            let seq = self.seq_scratch[wi];
-            let Some(idx) = self.slot_index(seq) else { continue };
+        for wi in 0..self.handle_scratch.len() {
+            let handle = self.handle_scratch[wi];
+            let Some(idx) = self.rob.slot_index(handle) else { continue };
             if self.rob[idx].state != SlotState::WbPending {
                 continue;
             }
@@ -29,7 +29,7 @@ impl<R: IntRegFile, T: Tracer> Simulator<R, T> {
             let result = self.rob[idx].result;
             if dest.is_int {
                 if !self.int_write_ports.try_acquire() {
-                    self.wb_pending.push(seq);
+                    self.wb_pending.push(handle);
                     continue;
                 }
                 match self.int_rf.try_write(dest.new as usize, result, false) {
@@ -46,7 +46,7 @@ impl<R: IntRegFile, T: Tracer> Simulator<R, T> {
                             // `class` is the WR1 type-determination outcome.
                             self.tracer.event(TraceEvent::Writeback {
                                 cycle: self.now,
-                                seq,
+                                seq: seq_of(handle),
                                 class,
                             });
                         }
@@ -57,17 +57,20 @@ impl<R: IntRegFile, T: Tracer> Simulator<R, T> {
                         if self.rob[idx].wb_fail_cycles >= LONG_RECOVERY_PATIENCE
                             && recovery.is_none()
                         {
-                            recovery = Some(seq);
+                            recovery = Some(handle);
                         }
-                        self.wb_pending.push(seq);
+                        self.wb_pending.push(handle);
                         if T::ENABLED {
-                            self.tracer.event(TraceEvent::WritebackRetry { cycle: self.now, seq });
+                            self.tracer.event(TraceEvent::WritebackRetry {
+                                cycle: self.now,
+                                seq: seq_of(handle),
+                            });
                         }
                     }
                 }
             } else {
                 if !self.fp_write_ports.try_acquire() {
-                    self.wb_pending.push(seq);
+                    self.wb_pending.push(handle);
                     continue;
                 }
                 if self.fp_rf.try_write(dest.new as usize, result, false).is_err() {
@@ -83,28 +86,34 @@ impl<R: IntRegFile, T: Tracer> Simulator<R, T> {
                 let at = self.now.max(done.saturating_sub(self.read_stages));
                 self.wake_consumers(false, dest.new, at);
                 if T::ENABLED {
-                    self.tracer.event(TraceEvent::Writeback { cycle: self.now, seq, class: None });
+                    self.tracer.event(TraceEvent::Writeback {
+                        cycle: self.now,
+                        seq: seq_of(handle),
+                        class: None,
+                    });
                 }
             }
         }
-        self.seq_scratch.clear();
+        self.handle_scratch.clear();
 
         // Pseudo-deadlock recovery: the Long file stayed full long enough
         // that commit cannot drain it (younger completed instructions hold
         // every entry). Flush everything younger than the starving write.
-        if let Some(seq) = recovery {
-            if self.slot_index(seq).is_some_and(|i| i + 1 < self.rob.len()) {
+        if let Some(handle) = recovery {
+            // Only worth a flush when something younger holds entries.
+            let youngest = self.rob.back().map(|s| s.handle);
+            if self.rob.slot_index(handle).is_some() && youngest != Some(handle) {
                 self.stats.deadlock_recoveries += 1;
-                let redirect = self.next_pc_of(seq);
-                self.squash_younger_than(seq, SquashReason::LongRecovery);
+                let redirect = self.next_pc_of(handle);
+                self.squash_younger_than(seq_of(handle), SquashReason::LongRecovery);
                 self.redirect_fetch(redirect);
             }
         }
         Ok(())
     }
 
-    pub(super) fn next_pc_of(&self, seq: u64) -> u64 {
-        let idx = self.slot_index(seq).expect("sequence must be in the ROB");
+    pub(super) fn next_pc_of(&self, handle: u64) -> u64 {
+        let idx = self.rob.slot_index(handle).expect("instruction must be in the ROB");
         let slot = &self.rob[idx];
         if slot.inst.is_control() {
             slot.actual_next

@@ -20,6 +20,13 @@ echo "==> benchmark harness (perfbench/harness) build + tests"
 # benchmark run. Sharing `target/` reuses the workspace's release build.
 cargo test --release -q --manifest-path perfbench/harness/Cargo.toml --target-dir target
 
+echo "==> benchmark self-tests (perfbench/tests)"
+# Every workload at its smallest size must emit every metric BENCHMARK.json
+# names, with its unit, and both injected faults (a corrupted cache entry,
+# an architectural mismatch) must be caught. Building into `target/`
+# reuses the release build above.
+CARGO_TARGET_DIR=target python3 -m unittest discover -s perfbench/tests
+
 echo "==> carf-trace smoke test"
 # One traced point end to end: exercises the tracer hooks, the stall
 # attribution invariant (the binary exits non-zero if the buckets do not
