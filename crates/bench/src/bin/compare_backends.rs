@@ -53,14 +53,7 @@ impl MachineRow {
         let mut port_denials = 0u64;
         for (_, result) in &self.suites {
             let (r, w) = result.access_totals();
-            reads.simple += r.simple;
-            reads.short += r.short;
-            reads.long += r.long;
-            reads.total += r.total;
-            writes.simple += w.simple;
-            writes.short += w.short;
-            writes.long += w.long;
-            writes.total += w.total;
+            (reads, writes) = (reads + r, writes + w);
             for (_, s) in &result.runs {
                 capture_hits += s.int_rf.capture_reuse_hits;
                 port_denials += s.rf_read_port_denials;

@@ -7,8 +7,8 @@
 //! (1/IPC from Figure 5's pipeline), both normalized to the baseline.
 
 use carf_bench::{
-    baseline_geometry, pct, print_table, rf_energy_carf, rf_energy_monolithic, run_matrix_cached,
-    write_timing_json, ClassTotals, DN_SWEEP,
+    baseline_geometry, combined_access_totals, pct, print_table, rf_energy_carf,
+    rf_energy_monolithic, run_matrix_cached, write_timing_json, DN_SWEEP,
 };
 use carf_core::CarfParams;
 use carf_energy::TechModel;
@@ -18,20 +18,6 @@ use carf_workloads::Suite;
 struct Point {
     rel_ipc: f64,
     energy: f64,
-}
-
-fn combined_totals(
-    int: &carf_bench::SuiteResult,
-    fp: &carf_bench::SuiteResult,
-) -> (ClassTotals, ClassTotals) {
-    let ((ri, wi), (rf, wf)) = (int.access_totals(), fp.access_totals());
-    let sum = |a: ClassTotals, b: ClassTotals| ClassTotals {
-        simple: a.simple + b.simple,
-        short: a.short + b.short,
-        long: a.long + b.long,
-        total: a.total + b.total,
-    };
-    (sum(ri, rf), sum(wi, wf))
 }
 
 fn main() {
@@ -52,7 +38,7 @@ fn main() {
     let results = run_matrix_cached(&matrix, &budget).results;
 
     let (base_int, base_fp) = (&results[0], &results[1]);
-    let (base_r, base_w) = combined_totals(base_int, base_fp);
+    let (base_r, base_w) = combined_access_totals(base_int, base_fp);
     let base_energy = rf_energy_monolithic(&model, &baseline_geometry(), &base_r, &base_w);
 
     let mut points = Vec::new();
@@ -61,7 +47,7 @@ fn main() {
         let (int, fp) = (&results[2 + 2 * i], &results[3 + 2 * i]);
         let rel_ipc =
             0.5 * (int.mean_relative_ipc(base_int) + fp.mean_relative_ipc(base_fp));
-        let (r, w) = combined_totals(int, fp);
+        let (r, w) = combined_access_totals(int, fp);
         let energy = rf_energy_carf(&model, &params, &r, &w);
         points.push((*dn, Point { rel_ipc, energy }));
     }

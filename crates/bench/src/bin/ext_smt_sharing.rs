@@ -9,10 +9,10 @@
 //! `P(combined > K)` estimates how often a shared K-entry file would have
 //! to stall one thread.
 
-use carf_bench::{pct, print_table, run_workload};
+use carf_bench::{pct, print_table, run_custom_cached, suite_points};
 use carf_core::CarfParams;
 use carf_sim::SimConfig;
-use carf_workloads::{all_workloads, Workload};
+use carf_workloads::Suite;
 
 /// Normalizes a histogram into a probability distribution.
 fn to_dist(hist: &[u64]) -> Vec<f64> {
@@ -44,16 +44,19 @@ fn main() {
     println!("§6 SMT Long-file sharing estimate ({} run)", budget.label());
     let cfg = SimConfig::paper_carf(CarfParams::paper_default());
 
-    // A representative spread: pointer-heavy, hash-heavy, FP, mixed.
+    // A representative spread: pointer-heavy, hash-heavy, FP, mixed. Each
+    // pick keeps its suite, so the runs are served from fig5's cache.
     let pick = ["pointer_chase", "hash_table", "sparse_update", "matvec", "tridiag"];
-    let workloads: Vec<Workload> =
-        all_workloads().into_iter().filter(|w| pick.contains(&w.name)).collect();
-    let dists: Vec<(String, Vec<f64>, f64)> = workloads
+    let mut points = suite_points(&[(cfg.clone(), Suite::Int), (cfg, Suite::Fp)]);
+    for (_, _, workloads) in &mut points {
+        workloads.retain(|w| pick.contains(&w.name));
+    }
+    let results = run_custom_cached(&points, &budget).results;
+    let dists: Vec<(String, Vec<f64>, f64)> = results
         .iter()
-        .map(|w| {
-            let stats = run_workload(&cfg, w, &budget);
-            let dist = to_dist(&stats.long_occupancy_hist);
-            (w.name.to_string(), dist, stats.long_mean_live)
+        .flat_map(|r| &r.runs)
+        .map(|(name, stats)| {
+            (name.clone(), to_dist(&stats.long_occupancy_hist), stats.long_mean_live)
         })
         .collect();
 

@@ -12,7 +12,9 @@
 
 use carf_bench::cli::{CliSpec, OptSpec};
 use carf_bench::json::Value;
-use carf_bench::{corpus, parallel, pct, print_table, run_suite, run_workloads, Budget};
+use carf_bench::{
+    corpus, parallel, pct, print_table, run_custom_with_cache, suite_points, Budget, SuiteResult,
+};
 use carf_core::analysis::{GroupAccumulator, GROUP_LABELS};
 use carf_sim::SimConfig;
 use carf_workloads::Suite;
@@ -40,8 +42,8 @@ fn oracle_config(budget: &Budget) -> SimConfig {
     cfg
 }
 
-fn merged(suite: Suite, budget: &Budget) -> GroupAccumulator {
-    let result = run_suite(&oracle_config(budget), suite, budget);
+/// The oracle's value groups merged over one suite's (or the corpus's) runs.
+fn merged(result: &SuiteResult) -> GroupAccumulator {
     let mut acc = GroupAccumulator::new();
     for (_, stats) in &result.runs {
         acc.merge(&stats.oracle.values);
@@ -57,8 +59,11 @@ fn main() {
     let parsed = SPEC.parse();
     let budget = parsed.budget;
     println!("Figure 1: distribution of live integer data values ({} run)", budget.label());
-    let int = merged(Suite::Int, &budget);
-    let fp = merged(Suite::Fp, &budget);
+    // Oracle points are not cached: no other binary stores them.
+    let cfg = oracle_config(&budget);
+    let points = suite_points(&[(cfg.clone(), Suite::Int), (cfg.clone(), Suite::Fp)]);
+    let results = run_custom_with_cache(&points, &budget, None).results;
+    let (int, fp) = (merged(&results[0]), merged(&results[1]));
 
     // The paper's attested anchors: a single value accounts for ~14% of all
     // live SPECint register values; the REST slice dominates both pies.
@@ -98,11 +103,9 @@ fn main() {
             std::process::exit(1);
         }
     };
-    let result = run_workloads(&oracle_config(&budget), Suite::Int, &workloads, &budget);
-    let mut real = GroupAccumulator::new();
-    for (_, stats) in &result.runs {
-        real.merge(&stats.oracle.values);
-    }
+    let points = [(cfg, Suite::Int, workloads)];
+    let real = merged(&run_custom_with_cache(&points, &budget, None).results[0]);
+    let workloads = &points[0].2;
 
     let (sf, cf) = (int.fractions(), real.fractions());
     let rows: Vec<Vec<String>> = GROUP_LABELS

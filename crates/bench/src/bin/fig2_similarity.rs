@@ -11,7 +11,9 @@
 
 use carf_bench::cli::{CliSpec, OptSpec};
 use carf_bench::json::Value;
-use carf_bench::{corpus, parallel, pct, print_table, run_suite, run_workloads, Budget};
+use carf_bench::{
+    corpus, parallel, pct, print_table, run_custom_with_cache, suite_points, Budget, SuiteResult,
+};
 use carf_core::analysis::{GroupAccumulator, GROUP_LABELS};
 use carf_sim::{SimConfig, SimStats};
 use carf_workloads::Suite;
@@ -47,6 +49,11 @@ fn merge(runs: &[SimStats], pick: fn(&SimStats) -> &GroupAccumulator) -> GroupAc
     acc
 }
 
+/// Every run's statistics, in point order.
+fn stats_of(results: Vec<SuiteResult>) -> Vec<SimStats> {
+    results.into_iter().flat_map(|r| r.runs).map(|(_, s)| s).collect()
+}
+
 fn json_fractions(f: &[f64]) -> Value {
     f.iter().map(|x| Value::fixed(*x, 6)).collect()
 }
@@ -57,10 +64,9 @@ fn main() {
     println!("Figure 2: (64-d)-similar live value distribution ({} run)", budget.label());
     let cfg = oracle_config(&budget);
 
-    let mut runs: Vec<SimStats> = Vec::new();
-    for suite in [Suite::Int, Suite::Fp] {
-        runs.extend(run_suite(&cfg, suite, &budget).runs.into_iter().map(|(_, s)| s));
-    }
+    // Oracle points are not cached: no other binary stores them.
+    let points = suite_points(&[(cfg.clone(), Suite::Int), (cfg.clone(), Suite::Fp)]);
+    let runs = stats_of(run_custom_with_cache(&points, &budget, None).results);
     let d8 = merge(&runs, |s| &s.oracle.sim_d8);
     let d12 = merge(&runs, |s| &s.oracle.sim_d12);
     let d16 = merge(&runs, |s| &s.oracle.sim_d16);
@@ -104,8 +110,9 @@ fn main() {
             std::process::exit(1);
         }
     };
-    let result = run_workloads(&cfg, Suite::Int, &workloads, &budget);
-    let corpus_runs: Vec<SimStats> = result.runs.into_iter().map(|(_, s)| s).collect();
+    let points = [(cfg, Suite::Int, workloads)];
+    let corpus_runs = stats_of(run_custom_with_cache(&points, &budget, None).results);
+    let workloads = &points[0].2;
     let c8 = merge(&corpus_runs, |s| &s.oracle.sim_d8);
     let c12 = merge(&corpus_runs, |s| &s.oracle.sim_d12);
     let c16 = merge(&corpus_runs, |s| &s.oracle.sim_d16);

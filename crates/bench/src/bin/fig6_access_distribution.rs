@@ -5,7 +5,7 @@
 //! simple — at `d+n = 24` over half of all accesses are short and long
 //! accesses drop below 20%.
 
-use carf_bench::{pct, print_table, run_suite, DN_SWEEP};
+use carf_bench::{combined_access_totals, pct, print_table, run_matrix_cached, DN_SWEEP};
 use carf_core::{CarfParams, ValueClass};
 use carf_sim::SimConfig;
 use carf_workloads::Suite;
@@ -14,21 +14,20 @@ fn main() {
     let budget = carf_bench::cli::budget_for(env!("CARGO_BIN_NAME"));
     println!("Figure 6: access distribution by value type ({} run)", budget.label());
 
+    // Figure 5's sweep points, so a run after fig5 is served from its cache.
+    let points: Vec<(SimConfig, Suite)> = DN_SWEEP
+        .iter()
+        .flat_map(|dn| {
+            let cfg = SimConfig::paper_carf(CarfParams::with_dn(*dn));
+            [(cfg.clone(), Suite::Int), (cfg, Suite::Fp)]
+        })
+        .collect();
+    let results = run_matrix_cached(&points, &budget).results;
+
     let mut read_rows = Vec::new();
     let mut write_rows = Vec::new();
-    for dn in DN_SWEEP {
-        let cfg = SimConfig::paper_carf(CarfParams::with_dn(dn));
-        let int = run_suite(&cfg, Suite::Int, &budget);
-        let fp = run_suite(&cfg, Suite::Fp, &budget);
-        let mut reads = int.access_totals().0;
-        let mut writes = int.access_totals().1;
-        let (fr, fw) = fp.access_totals();
-        reads.simple += fr.simple;
-        reads.short += fr.short;
-        reads.long += fr.long;
-        writes.simple += fw.simple;
-        writes.short += fw.short;
-        writes.long += fw.long;
+    for (dn, pair) in DN_SWEEP.iter().zip(results.chunks(2)) {
+        let (reads, writes) = combined_access_totals(&pair[0], &pair[1]);
         read_rows.push(vec![
             format!("{dn}"),
             pct(reads.fraction(ValueClass::Simple)),

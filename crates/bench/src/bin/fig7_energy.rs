@@ -5,41 +5,34 @@
 //! Combines the measured access counts (Figure 6's data) with the
 //! per-access energies (Table 3's data), exactly as the paper does.
 
-use carf_bench::{Budget, 
-    baseline_geometry, pct, print_table, rf_energy_carf, rf_energy_monolithic, run_suite,
-    unlimited_geometry, ClassTotals, DN_SWEEP,
+use carf_bench::{
+    baseline_geometry, combined_access_totals, pct, print_table, rf_energy_carf,
+    rf_energy_monolithic, run_matrix_cached, unlimited_geometry, DN_SWEEP,
 };
 use carf_core::CarfParams;
 use carf_energy::TechModel;
 use carf_sim::SimConfig;
 use carf_workloads::Suite;
 
-fn totals(cfg: &SimConfig, budget: &Budget) -> (ClassTotals, ClassTotals) {
-    let mut reads = ClassTotals::default();
-    let mut writes = ClassTotals::default();
-    for suite in [Suite::Int, Suite::Fp] {
-        let (r, w) = run_suite(cfg, suite, budget).access_totals();
-        reads.simple += r.simple;
-        reads.short += r.short;
-        reads.long += r.long;
-        reads.total += r.total;
-        writes.simple += w.simple;
-        writes.short += w.short;
-        writes.long += w.long;
-        writes.total += w.total;
-    }
-    (reads, writes)
-}
-
 fn main() {
     let budget = carf_bench::cli::budget_for(env!("CARGO_BIN_NAME"));
     println!("Figure 7: relative register-file energy ({} run)", budget.label());
     let model = TechModel::default_model();
 
+    // The baseline, then Figure 5's sweep points, each on both suites, so
+    // a run after fig5 is served from its cache.
+    let configs = std::iter::once(SimConfig::paper_baseline())
+        .chain(DN_SWEEP.iter().map(|dn| SimConfig::paper_carf(CarfParams::with_dn(*dn))));
+    let points: Vec<(SimConfig, Suite)> =
+        configs.flat_map(|cfg| [(cfg.clone(), Suite::Int), (cfg, Suite::Fp)]).collect();
+    let results = run_matrix_cached(&points, &budget).results;
+    let mut pairs = results.chunks(2);
+
     // The unlimited machine defines 100%: its access volume priced at its
     // own per-access energy. We use the baseline machine's access counts
     // for both monolithic organizations (their pipelines are identical).
-    let (base_reads, base_writes) = totals(&SimConfig::paper_baseline(), &budget);
+    let base = pairs.next().expect("the baseline pair");
+    let (base_reads, base_writes) = combined_access_totals(&base[0], &base[1]);
     let unl_energy =
         rf_energy_monolithic(&model, &unlimited_geometry(), &base_reads, &base_writes);
     let base_energy =
@@ -51,9 +44,9 @@ fn main() {
         "~48.8%".to_string(),
         "100.0%".to_string(),
     ]];
-    for dn in DN_SWEEP {
+    for (dn, pair) in DN_SWEEP.into_iter().zip(pairs) {
         let params = CarfParams::with_dn(dn);
-        let (reads, writes) = totals(&SimConfig::paper_carf(params), &budget);
+        let (reads, writes) = combined_access_totals(&pair[0], &pair[1]);
         let carf = rf_energy_carf(&model, &params, &reads, &writes);
         let paper = if dn == 20 { "~24%" } else { "-" };
         rows.push(vec![

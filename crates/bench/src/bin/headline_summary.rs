@@ -3,8 +3,8 @@
 //! frequency-scaling speed-up estimate.
 
 use carf_bench::{
-    baseline_geometry, carf_geometries, pct, print_table, rf_energy_carf, rf_energy_monolithic,
-    run_matrix_cached, unlimited_geometry, write_timing_json, ClassTotals,
+    baseline_geometry, carf_geometries, combined_access_totals, pct, print_table, rf_energy_carf,
+    rf_energy_monolithic, run_matrix_cached, unlimited_geometry, write_timing_json,
 };
 use carf_core::CarfParams;
 use carf_energy::TechModel;
@@ -38,18 +38,8 @@ fn main() {
     let fp_delta = carf_fp.mean_relative_ipc(base_fp) - 1.0;
 
     // Energy: measured access counts priced by the model.
-    let sum = |a: ClassTotals, b: ClassTotals| ClassTotals {
-        simple: a.simple + b.simple,
-        short: a.short + b.short,
-        long: a.long + b.long,
-        total: a.total + b.total,
-    };
-    let (bri, bwi) = base_int.access_totals();
-    let (brf, bwf) = base_fp.access_totals();
-    let (base_reads, base_writes) = (sum(bri, brf), sum(bwi, bwf));
-    let (cri, cwi) = carf_int.access_totals();
-    let (crf, cwf) = carf_fp.access_totals();
-    let (carf_reads, carf_writes) = (sum(cri, crf), sum(cwi, cwf));
+    let (base_reads, base_writes) = combined_access_totals(base_int, base_fp);
+    let (carf_reads, carf_writes) = combined_access_totals(carf_int, carf_fp);
 
     let e_base =
         rf_energy_monolithic(&model, &baseline_geometry(), &base_reads, &base_writes);

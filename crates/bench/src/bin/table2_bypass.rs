@@ -3,7 +3,7 @@
 //! content-aware machine (extra bypass level covering the longer
 //! writeback).
 
-use carf_bench::{pct, print_table, run_suite};
+use carf_bench::{pct, print_table, run_matrix_cached};
 use carf_core::CarfParams;
 use carf_sim::SimConfig;
 use carf_workloads::Suite;
@@ -14,12 +14,16 @@ fn main() {
     let base = SimConfig::paper_baseline();
     let carf = SimConfig::paper_carf(CarfParams::paper_default());
 
+    let suites = [(Suite::Int, "38.1%", "47.9%"), (Suite::Fp, "21.1%", "28.4%")];
+    let points: Vec<(SimConfig, Suite)> = suites
+        .iter()
+        .flat_map(|(suite, _, _)| [(base.clone(), *suite), (carf.clone(), *suite)])
+        .collect();
+    let results = run_matrix_cached(&points, &budget).results;
+
     let mut rows = Vec::new();
-    for (suite, paper_base, paper_carf) in
-        [(Suite::Int, "38.1%", "47.9%"), (Suite::Fp, "21.1%", "28.4%")]
-    {
-        let b = run_suite(&base, suite, &budget);
-        let c = run_suite(&carf, suite, &budget);
+    for ((suite, paper_base, paper_carf), pair) in suites.into_iter().zip(results.chunks(2)) {
+        let (b, c) = (&pair[0], &pair[1]);
         rows.push(vec![
             format!("SPEC {suite}"),
             pct(b.bypass_fraction()),

@@ -4,7 +4,7 @@
 //! The paper's motivation for value-type clustering: over 86% of
 //! instructions read operands of a single type.
 
-use carf_bench::{pct, print_table, run_suite};
+use carf_bench::{pct, print_table, run_matrix_cached};
 use carf_core::CarfParams;
 use carf_sim::{OperandMix, SimConfig};
 use carf_workloads::Suite;
@@ -14,17 +14,17 @@ fn main() {
     println!("Table 4: operation distribution by source operand types ({} run)", budget.label());
     let cfg = SimConfig::paper_carf(CarfParams::paper_default());
 
+    let results =
+        run_matrix_cached(&[(cfg.clone(), Suite::Int), (cfg, Suite::Fp)], &budget).results;
     let mut mix = OperandMix::default();
-    for suite in [Suite::Int, Suite::Fp] {
-        for (_, stats) in run_suite(&cfg, suite, &budget).runs {
-            let m = stats.operand_mix;
-            mix.only_simple += m.only_simple;
-            mix.only_short += m.only_short;
-            mix.only_long += m.only_long;
-            mix.simple_short += m.simple_short;
-            mix.simple_long += m.simple_long;
-            mix.short_long += m.short_long;
-        }
+    for (_, stats) in results.iter().flat_map(|r| &r.runs) {
+        let m = stats.operand_mix;
+        mix.only_simple += m.only_simple;
+        mix.only_short += m.only_short;
+        mix.only_long += m.only_long;
+        mix.simple_short += m.simple_short;
+        mix.simple_long += m.simple_long;
+        mix.short_long += m.short_long;
     }
 
     let labels = [

@@ -20,8 +20,9 @@
 //! **byte-identical** downstream result records. Entries are built and
 //! parsed through [`crate::json`]; one that does not parse is a miss. A
 //! human-readable `index.json` maps keys back to (config, point, budget)
-//! labels; [`crate::json::update_records`] maintains it under an advisory
-//! lock so concurrent bins cannot lose each other's rows.
+//! labels. A run stages the rows of the entries it stores and merges them
+//! with one [`crate::json::update_records`] call, under an advisory lock
+//! so concurrent bins cannot lose each other's rows.
 //!
 //! Environment knobs:
 //!
@@ -300,8 +301,7 @@ impl ResultCache {
         budget: &Budget,
         stats: &SimStats,
     ) {
-        let stats = ("stats", stats_to_value(stats));
-        self.commit_entry(key, entry(key, "point", point, None, config, budget, stats));
+        self.commit_entry(key, point_entry(key, point, config, budget, stats));
     }
 
     /// Looks up a derived scalar (stored bit-exactly).
@@ -322,17 +322,30 @@ impl ResultCache {
         self.commit_entry(key, entry(key, "derived", tag, None, config, budget, bits));
     }
 
-    /// Writes `entry` (one line) and indexes it; failures are warnings.
+    /// Writes `entry` and indexes it on its own; failures are warnings.
     fn commit_entry(&self, key: u128, entry: Value) {
+        self.index(self.write_entry(key, entry).into_iter().collect());
+    }
+
+    /// Writes `entry` (one line) and returns its `index.json` row, or
+    /// `None` after a warning when the write failed.
+    fn write_entry(&self, key: u128, entry: Value) -> Option<Value> {
         let path = self.entry_path(key);
         if let Err(e) = atomic_write(&path, format!("{entry}\n").as_bytes()) {
             eprintln!("warning: cache store failed for {}: {e}", path.display());
+            return None;
+        }
+        Some(Value::object(INDEX_FIELDS.iter().filter_map(|f| Some((*f, entry.get(f)?.clone())))))
+    }
+
+    /// Merges `rows` into the index in one locked rewrite, in order, so
+    /// the file comes out as if each row had been merged on its own; a
+    /// failure is a warning.
+    fn index(&self, rows: Vec<Value>) {
+        if rows.is_empty() {
             return;
         }
-        let row = Value::object(
-            INDEX_FIELDS.iter().filter_map(|f| Some((*f, entry.get(f)?.clone()))),
-        );
-        if let Err(e) = json::update_records(&self.index_path(), vec![row], &["key"], 1) {
+        if let Err(e) = json::update_records(&self.index_path(), rows, &["key"], 1) {
             eprintln!("warning: cache index update failed: {e}");
         }
     }
@@ -371,6 +384,17 @@ fn entry(
     Value::object(head.into_iter().chain(extra).chain(tail))
 }
 
+/// A simulation point's entry: the exact [`crate::statsio`] object.
+fn point_entry(
+    key: u128,
+    point: &str,
+    config: &SimConfig,
+    budget: &Budget,
+    stats: &SimStats,
+) -> Value {
+    entry(key, "point", point, None, config, budget, ("stats", stats_to_value(stats)))
+}
+
 /// Whether `CARF_CACHE_REQUIRE_WARM` demands a fully warm run.
 fn require_warm() -> bool {
     std::env::var("CARF_CACHE_REQUIRE_WARM").is_ok_and(|v| {
@@ -387,8 +411,8 @@ fn fail_cold(simulated: usize) -> ! {
     std::process::exit(3);
 }
 
-/// The result of a cached matrix run: the per-point suite results (input
-/// order, exactly as [`crate::run_matrix`] returns) plus the cache ledger.
+/// The result of a matrix run: the per-point suite results, in input
+/// order, plus the cache ledger.
 #[derive(Debug)]
 pub struct MatrixOutcome {
     /// One [`SuiteResult`] per input point, in input order.
@@ -406,19 +430,25 @@ impl MatrixOutcome {
     }
 }
 
-/// [`crate::run_matrix`] behind the content-addressed cache: only the
-/// points missing from the store are simulated (over the worker pool,
-/// order-preserving); everything else is served from disk. With the cache
-/// disabled every point simulates and nothing is stored.
+/// `(configuration, suite)` pairs as [`run_custom_cached`] points, each
+/// carrying its suite's registry workloads in registry order.
+pub fn suite_points(points: &[(SimConfig, Suite)]) -> Vec<(SimConfig, Suite, Vec<Workload>)> {
+    points
+        .iter()
+        .map(|(config, suite)| (config.clone(), *suite, crate::suite_workloads(*suite)))
+        .collect()
+}
+
+/// Runs several `(configuration, suite)` points as one flat work list
+/// behind the content-addressed cache: only the workload runs missing
+/// from the store are simulated (over the worker pool, order-preserving);
+/// everything else is served from disk. With the cache disabled every
+/// point simulates and nothing is stored.
 ///
 /// Prints one `cache: served N, simulated M` summary line. With
 /// `CARF_CACHE_REQUIRE_WARM` set, exits 3 if any point simulated.
 pub fn run_matrix_cached(points: &[(SimConfig, Suite)], budget: &Budget) -> MatrixOutcome {
-    let custom: Vec<(SimConfig, Suite, Vec<Workload>)> = points
-        .iter()
-        .map(|(config, suite)| (config.clone(), *suite, crate::suite_workloads(*suite)))
-        .collect();
-    run_custom_cached(&custom, budget)
+    run_custom_cached(&suite_points(points), budget)
 }
 
 /// [`run_matrix_cached`] over explicit workload lists instead of the
@@ -439,9 +469,10 @@ pub fn run_custom_cached(
 }
 
 /// [`run_custom_cached`] against an explicit cache (`None` = bypass),
-/// without printing or warm enforcement. Workloads are addressed by
-/// [`workload_identity`], so fixed-program (corpus) points key on program
-/// content, not just name.
+/// without printing or warm enforcement: the one function that runs every
+/// matrix. Workloads are addressed by [`workload_identity`], so
+/// fixed-program (corpus) points key on program content, not just name.
+/// The stored points reach `index.json` in one merge.
 pub fn run_custom_with_cache(
     points: &[(SimConfig, Suite, Vec<Workload>)],
     budget: &Budget,
@@ -477,18 +508,19 @@ pub fn run_custom_with_cache(
         let (pi, suite, w) = &flat[*fi];
         crate::run_workload_timed(&points[*pi].0, *suite, w, budget)
     });
+    let mut rows = Vec::new();
     for (fi, run) in cold.iter().zip(fresh) {
         let (pi, suite, w) = &flat[*fi];
         if let Some(c) = cache {
-            c.store_point(
-                point_key(&points[*pi].0, *suite, &workload_identity(w), budget),
-                &format!("{suite:?}/{}", workload_identity(w)),
-                &points[*pi].0,
-                budget,
-                &run.1,
-            );
+            let (config, identity) = (&points[*pi].0, workload_identity(w));
+            let key = point_key(config, *suite, &identity, budget);
+            let label = format!("{suite:?}/{identity}");
+            rows.extend(c.write_entry(key, point_entry(key, &label, config, budget, &run.1)));
         }
         runs[*fi] = Some(run);
+    }
+    if let Some(c) = cache {
+        c.index(rows);
     }
 
     let mut results: Vec<SuiteResult> = points
@@ -650,12 +682,22 @@ impl ResultCache {
         budget: &Budget,
         threads: &[MultiThreadRecord],
     ) {
-        let packed: Vec<String> = threads.iter().map(MultiThreadRecord::pack).collect();
-        let config = &point.contexts.first().expect("a multi point has contexts").0;
-        let policy = Some(("policy", point.policy.canonical().into()));
-        let threads = ("threads", packed.join(",").into());
-        self.commit_entry(key, entry(key, "multi", &point.label, policy, config, budget, threads));
+        self.commit_entry(key, multi_entry(key, point, budget, threads));
     }
+}
+
+/// A multi-context point's entry: the packed per-context records.
+fn multi_entry(
+    key: u128,
+    point: &MultiPoint,
+    budget: &Budget,
+    threads: &[MultiThreadRecord],
+) -> Value {
+    let packed: Vec<String> = threads.iter().map(MultiThreadRecord::pack).collect();
+    let config = &point.contexts.first().expect("a multi point has contexts").0;
+    let policy = Some(("policy", point.policy.canonical().into()));
+    let threads = ("threads", packed.join(",").into());
+    entry(key, "multi", &point.label, policy, config, budget, threads)
 }
 
 /// The result of a cached multi-context run: per-point, per-context
@@ -747,11 +789,16 @@ pub fn run_multi_with_cache(
             })
             .collect::<Vec<_>>()
     });
+    let mut rows = Vec::new();
     for (pi, threads) in cold.iter().zip(fresh) {
         if let Some(c) = cache {
-            c.store_multi(multi_key(&points[*pi], budget), &points[*pi], budget, &threads);
+            let key = multi_key(&points[*pi], budget);
+            rows.extend(c.write_entry(key, multi_entry(key, &points[*pi], budget, &threads)));
         }
         results[*pi] = Some(threads);
+    }
+    if let Some(c) = cache {
+        c.index(rows);
     }
 
     MultiOutcome {
@@ -949,6 +996,73 @@ mod tests {
         let warm = run_custom_with_cache(&points, &budget, Some(&cache));
         assert_eq!((warm.served, warm.simulated), (1, 0));
         let _ = std::fs::remove_dir_all(cache.dir());
+    }
+
+    #[test]
+    fn an_entry_serves_any_point_list_that_names_it() {
+        let cache = temp_cache("any-list");
+        let mut budget = Budget::quick();
+        budget.size = SizeClass::Test;
+        budget.max_insts = 5_000;
+        budget.jobs = 2;
+        let (base, carf) =
+            (SimConfig::test_small(), SimConfig::paper_carf(CarfParams::with_dn(12)));
+        let int: Vec<Workload> = carf_workloads::int_suite().into_iter().take(3).collect();
+        let fill = vec![(base.clone(), Suite::Int, int.clone()), (carf.clone(), Suite::Int, int)];
+        let cold = run_custom_with_cache(&fill, &budget, Some(&cache));
+        assert_eq!((cold.served, cold.simulated), (0, 6));
+        let stats_of = |config: &SimConfig, name: &str| {
+            let at = fill.iter().position(|(c, _, _)| c == config).expect("a filled config");
+            let runs = &cold.results[at].runs;
+            runs.iter().find(|(n, _)| n == name).expect("a filled workload").1.clone()
+        };
+
+        // Interleaved configs, one repeated, each naming a reordered subset.
+        let pick = |names: &[&str]| -> Vec<Workload> {
+            names.iter().map(|n| fill[0].2.iter().find(|w| w.name == *n).unwrap().clone()).collect()
+        };
+        let [a, b, c] = [0, 1, 2].map(|i| fill[0].2[i].name);
+        let list = vec![
+            (carf.clone(), Suite::Int, pick(&[c, a])),
+            (base.clone(), Suite::Int, pick(&[b])),
+            (carf.clone(), Suite::Int, pick(&[b, c])),
+            (base, Suite::Int, pick(&[c, b, a])),
+        ];
+        let warm = run_custom_with_cache(&list, &budget, Some(&cache));
+        assert_eq!((warm.served, warm.simulated), (8, 0));
+        for ((config, _, workloads), result) in list.iter().zip(&warm.results) {
+            let names: Vec<&str> = result.runs.iter().map(|(n, _)| n.as_str()).collect();
+            assert_eq!(names, workloads.iter().map(|w| w.name).collect::<Vec<_>>());
+            for (name, stats) in &result.runs {
+                assert_eq!(*stats, stats_of(config, name), "{name}");
+            }
+        }
+        let _ = std::fs::remove_dir_all(cache.dir());
+    }
+
+    #[test]
+    fn a_run_indexes_its_entries_as_storing_each_alone_would() {
+        let (batched, single) = (temp_cache("batched"), temp_cache("single"));
+        let mut budget = Budget::quick();
+        budget.size = SizeClass::Test;
+        budget.max_insts = 5_000;
+        budget.jobs = 1;
+        let config = SimConfig::test_small();
+        let int: Vec<Workload> = carf_workloads::int_suite().into_iter().take(2).collect();
+        let fp: Vec<Workload> = carf_workloads::fp_suite().into_iter().take(1).collect();
+        let points = vec![(config.clone(), Suite::Int, int), (config.clone(), Suite::Fp, fp)];
+        let run = run_custom_with_cache(&points, &budget, Some(&batched));
+        for ((_, suite, workloads), result) in points.iter().zip(&run.results) {
+            for (w, (_, stats)) in workloads.iter().zip(&result.runs) {
+                let key = point_key(&config, *suite, &workload_identity(w), &budget);
+                single.store_point(key, &format!("{suite:?}/{}", w.name), &config, &budget, stats);
+            }
+        }
+        let index = |c: &ResultCache| std::fs::read_to_string(c.index_path()).unwrap();
+        assert_eq!(index(&batched), index(&single));
+        assert_eq!(json::parse_records(&index(&batched)).unwrap().len(), 3);
+        let _ = std::fs::remove_dir_all(batched.dir());
+        let _ = std::fs::remove_dir_all(single.dir());
     }
 
     #[test]

@@ -11,8 +11,11 @@
 //!
 //! * [`Budget`] — instruction budget / workload sizing from the CLI;
 //! * [`run_workload`] — one (configuration × workload) timing simulation;
-//! * [`SuiteResult`] / [`run_suite`] — per-suite aggregation (the paper
-//!   reports INT and FP averages);
+//! * [`run_matrix_cached`] / [`run_custom_cached`] — the one runner: many
+//!   `(configuration, suite)` points as one flat work list over the worker
+//!   pool, served from the result cache where it can be (see [`cache`]);
+//! * [`SuiteResult`] — per-suite aggregation (the paper reports INT and FP
+//!   averages);
 //! * [`carf_geometries`], [`rf_energy_carf`], and [`rf_energy_monolithic`]
 //!   — the bridge from simulated
 //!   access counts to the analytic energy model, exactly as the paper
@@ -35,8 +38,9 @@ pub mod statsio;
 pub mod trace;
 
 pub use cache::{
-    run_custom_cached, run_matrix_cached, run_multi_cached, workload_identity, CacheStatus,
-    MatrixOutcome, MultiOutcome, MultiPoint, MultiThreadRecord, ResultCache,
+    run_custom_cached, run_custom_with_cache, run_matrix_cached, run_multi_cached, suite_points,
+    workload_identity, CacheStatus, MatrixOutcome, MultiOutcome, MultiPoint, MultiThreadRecord,
+    ResultCache,
 };
 pub use parallel::{results_dir, run_ordered, write_records, write_timing_json};
 
@@ -236,6 +240,13 @@ impl SuiteResult {
     }
 }
 
+/// Summed register-file access counts of an INT and an FP suite result:
+/// the paper prices both suites together.
+pub fn combined_access_totals(int: &SuiteResult, fp: &SuiteResult) -> (ClassTotals, ClassTotals) {
+    let ((ri, wi), (rf, wf)) = (int.access_totals(), fp.access_totals());
+    (ri + rf, wi + wf)
+}
+
 /// Summed access counts for one direction.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct ClassTotals {
@@ -247,6 +258,20 @@ pub struct ClassTotals {
     pub long: u64,
     /// All accesses (meaningful for the baseline too).
     pub total: u64,
+}
+
+impl std::ops::Add for ClassTotals {
+    type Output = Self;
+
+    /// Field-wise sum: the counts of two runs (or suites) together.
+    fn add(self, other: Self) -> Self {
+        Self {
+            simple: self.simple + other.simple,
+            short: self.short + other.short,
+            long: self.long + other.long,
+            total: self.total + other.total,
+        }
+    }
 }
 
 impl ClassTotals {
@@ -287,56 +312,6 @@ fn run_workload_timed(
         stats.committed,
     );
     (workload.name.to_string(), stats)
-}
-
-/// Runs every workload of `suite` under `config`, dispatching the points
-/// over [`Budget::jobs`] workers. Results are in registry order and
-/// identical to a serial run (see [`parallel::run_ordered`]).
-pub fn run_suite(config: &SimConfig, suite: Suite, budget: &Budget) -> SuiteResult {
-    parallel::note_run_start();
-    let workloads = suite_workloads(suite);
-    let runs = parallel::run_ordered(&workloads, budget.jobs, |w| {
-        run_workload_timed(config, suite, w, budget)
-    });
-    SuiteResult { suite, runs }
-}
-
-/// [`run_suite`] over an explicit workload list (e.g. corpus programs)
-/// instead of a registry suite, with the same worker-pool dispatch.
-pub fn run_workloads(
-    config: &SimConfig,
-    suite: Suite,
-    workloads: &[Workload],
-    budget: &Budget,
-) -> SuiteResult {
-    parallel::note_run_start();
-    let runs = parallel::run_ordered(workloads, budget.jobs, |w| {
-        run_workload_timed(config, suite, w, budget)
-    });
-    SuiteResult { suite, runs }
-}
-
-/// Runs several `(configuration, suite)` experiment points as **one** flat
-/// work list over the worker pool, so a long suite under one configuration
-/// can overlap with the next configuration's points. Returns one
-/// [`SuiteResult`] per input point, in input order.
-pub fn run_matrix(points: &[(SimConfig, Suite)], budget: &Budget) -> Vec<SuiteResult> {
-    parallel::note_run_start();
-    let mut flat: Vec<(usize, Suite, Workload)> = Vec::new();
-    for (pi, (_, suite)) in points.iter().enumerate() {
-        for w in suite_workloads(*suite) {
-            flat.push((pi, *suite, w));
-        }
-    }
-    let results = parallel::run_ordered(&flat, budget.jobs, |(pi, suite, w)| {
-        run_workload_timed(&points[*pi].0, *suite, w, budget)
-    });
-    let mut out: Vec<SuiteResult> =
-        points.iter().map(|(_, suite)| SuiteResult { suite: *suite, runs: Vec::new() }).collect();
-    for ((pi, _, _), run) in flat.iter().zip(results) {
-        out[*pi].runs.push(run);
-    }
-    out
 }
 
 /// The three content-aware sub-file geometries for `params`, with the

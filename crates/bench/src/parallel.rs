@@ -195,10 +195,10 @@ pub fn write_records(
     Ok(path)
 }
 
-/// The path a results write returned, or — when it failed — exits 1
-/// after printing `error: could not write <path>: <cause>` (the error
-/// names the path).
-pub fn exit_on_write_error(written: io::Result<PathBuf>) -> PathBuf {
+/// What a results write returned, or — when it failed — exits 1 after
+/// printing `error: could not write <path>: <cause>` (the error names the
+/// path).
+pub fn exit_on_write_error<T>(written: io::Result<T>) -> T {
     written.unwrap_or_else(|e| {
         eprintln!("error: could not write {e}");
         std::process::exit(1)
@@ -207,6 +207,9 @@ pub fn exit_on_write_error(written: io::Result<PathBuf>) -> PathBuf {
 
 /// Merges the run's timing record into `<results dir>/bench_timing.json`
 /// (see [`results_dir`]), prints a one-line summary, and returns the path.
+/// A run that simulated nothing (every point served from the cache) has
+/// no timing to record: it writes nothing, so warm runs cannot rotate the
+/// measured records out, and returns `None`.
 ///
 /// The file holds one record per line, each of the form
 /// `{"bin": ..., "budget": ..., "jobs": N, "total_secs": S,
@@ -220,10 +223,14 @@ pub fn exit_on_write_error(written: io::Result<PathBuf>) -> PathBuf {
 /// # Errors
 ///
 /// As [`write_records`].
-pub fn write_timing_json(budget: &Budget) -> io::Result<PathBuf> {
+pub fn write_timing_json(budget: &Budget) -> io::Result<Option<PathBuf>> {
     let bin = bin_name();
     let points = take_points();
     let total = total_secs();
+    if points.is_empty() {
+        println!("timing: nothing simulated, no record written");
+        return Ok(None);
+    }
     let record = timing_record(&bin, budget.label(), budget.jobs, total, &points);
 
     let path = write_records(
@@ -240,7 +247,7 @@ pub fn write_timing_json(budget: &Budget) -> io::Result<PathBuf> {
         geomean_kips(&points),
         path.display()
     );
-    Ok(path)
+    Ok(Some(path))
 }
 
 /// How many timing records `bench_timing.json` keeps per (bin, budget,

@@ -6,7 +6,7 @@
 //! run itself must be deterministic whatever the worker count.
 
 use carf_bench::sample::SampleSpec;
-use carf_bench::{run_matrix, Budget};
+use carf_bench::{run_custom_with_cache, suite_points, Budget};
 use carf_core::CarfParams;
 use carf_isa::{DecodedProgram, ExecError, Machine};
 use carf_sim::{AnySimulator, SimConfig};
@@ -154,10 +154,10 @@ fn sampled_runs_are_deterministic_across_worker_counts() {
     parallel.jobs = 4;
 
     let carf = SimConfig::paper_carf(CarfParams::paper_default());
-    let points = [(carf.clone(), Suite::Int), (carf, Suite::Fp)];
+    let points = suite_points(&[(carf.clone(), Suite::Int), (carf, Suite::Fp)]);
 
-    let s = run_matrix(&points, &serial);
-    let p = run_matrix(&points, &parallel);
+    let s = run_custom_with_cache(&points, &serial, None).results;
+    let p = run_custom_with_cache(&points, &parallel, None).results;
     assert_eq!(s.len(), p.len());
     for (a, b) in s.iter().zip(&p) {
         assert_eq!(a.suite, b.suite);

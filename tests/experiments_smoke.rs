@@ -3,8 +3,9 @@
 //! numbers at tiny scale.
 
 use carf_bench::{
-    baseline_geometry, carf_geometries, rf_energy_carf, rf_energy_monolithic, run_matrix,
-    run_suite, run_workload, unlimited_geometry, Budget, DN_SWEEP,
+    baseline_geometry, carf_geometries, rf_energy_carf, rf_energy_monolithic,
+    run_custom_with_cache, run_workload, suite_points, unlimited_geometry, Budget, SuiteResult,
+    DN_SWEEP,
 };
 use carf_core::CarfParams;
 use carf_energy::TechModel;
@@ -17,10 +18,20 @@ fn tiny_budget() -> Budget {
     Budget { size: SizeClass::Test, max_insts: 30_000, oracle_period: 16, jobs: 2, sample: None }
 }
 
+/// `(config, suite)` points through the one runner, with no cache.
+fn uncached(points: &[(SimConfig, Suite)], budget: &Budget) -> Vec<SuiteResult> {
+    run_custom_with_cache(&suite_points(points), budget, None).results
+}
+
+/// One suite under one configuration, with no cache.
+fn uncached_suite(config: &SimConfig, suite: Suite, budget: &Budget) -> SuiteResult {
+    uncached(&[(config.clone(), suite)], budget).remove(0)
+}
+
 #[test]
 fn suite_runner_produces_stats_for_every_workload() {
     let budget = tiny_budget();
-    let result = run_suite(&SimConfig::paper_baseline(), Suite::Int, &budget);
+    let result = uncached_suite(&SimConfig::paper_baseline(), Suite::Int, &budget);
     assert_eq!(result.runs.len(), 8);
     for (name, stats) in &result.runs {
         assert!(stats.committed > 1_000, "{name}");
@@ -36,11 +47,11 @@ fn matrix_runner_matches_per_suite_runs() {
     let carf = SimConfig::paper_carf(CarfParams::paper_default());
     let points =
         [(base.clone(), Suite::Int), (base.clone(), Suite::Fp), (carf.clone(), Suite::Int)];
-    let matrix = run_matrix(&points, &budget);
+    let matrix = uncached(&points, &budget);
     assert_eq!(matrix.len(), 3);
     for ((cfg, suite), result) in points.iter().zip(&matrix) {
         assert_eq!(result.suite, *suite);
-        let solo = run_suite(cfg, *suite, &budget);
+        let solo = uncached_suite(cfg, *suite, &budget);
         assert_eq!(result.runs.len(), solo.runs.len());
         for ((n1, s1), (n2, s2)) in result.runs.iter().zip(&solo.runs) {
             assert_eq!(n1, n2);
@@ -64,8 +75,8 @@ fn budget_arg_parsing_is_strict() {
 #[test]
 fn relative_ipc_of_identical_configs_is_one() {
     let budget = tiny_budget();
-    let a = run_suite(&SimConfig::paper_baseline(), Suite::Fp, &budget);
-    let b = run_suite(&SimConfig::paper_baseline(), Suite::Fp, &budget);
+    let a = uncached_suite(&SimConfig::paper_baseline(), Suite::Fp, &budget);
+    let b = uncached_suite(&SimConfig::paper_baseline(), Suite::Fp, &budget);
     let rel = a.mean_relative_ipc(&b);
     assert!((rel - 1.0).abs() < 1e-9, "determinism: rel = {rel}");
 }
@@ -161,7 +172,7 @@ fn fig8_fig9_model_orderings_hold_across_the_sweep() {
 #[test]
 fn table2_bypass_fractions_are_probabilities() {
     let budget = tiny_budget();
-    let int = run_suite(&SimConfig::paper_baseline(), Suite::Int, &budget);
+    let int = uncached_suite(&SimConfig::paper_baseline(), Suite::Int, &budget);
     let f = int.bypass_fraction();
     assert!(f > 0.0 && f < 1.0, "bypass fraction = {f}");
 }

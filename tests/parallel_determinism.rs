@@ -3,7 +3,7 @@
 //! point for point, whatever the worker count. This is the guarantee that
 //! lets every figure/table binary default to parallel execution.
 
-use carf_bench::{run_matrix, Budget};
+use carf_bench::{run_custom_with_cache, suite_points, Budget};
 use carf_core::CarfParams;
 use carf_sim::SimConfig;
 use carf_workloads::Suite;
@@ -16,10 +16,10 @@ fn quick_budget_parallel_runs_are_bit_identical_to_serial() {
     parallel_budget.jobs = 4;
 
     let carf = SimConfig::paper_carf(CarfParams::paper_default());
-    let points = [(carf.clone(), Suite::Int), (carf, Suite::Fp)];
+    let points = suite_points(&[(carf.clone(), Suite::Int), (carf, Suite::Fp)]);
 
-    let serial = run_matrix(&points, &serial_budget);
-    let parallel = run_matrix(&points, &parallel_budget);
+    let serial = run_custom_with_cache(&points, &serial_budget, None).results;
+    let parallel = run_custom_with_cache(&points, &parallel_budget, None).results;
 
     assert_eq!(serial.len(), parallel.len());
     for (s, p) in serial.iter().zip(&parallel) {
