@@ -14,7 +14,7 @@
 
 use carf_bench::cli::{CliSpec, MachineSet, OptSpec};
 use carf_bench::json::Value;
-use carf_bench::{parallel, trace, Budget};
+use carf_bench::{fsio, parallel, trace, Budget};
 use carf_sim::{SimConfig, AnySimulator, StageHistograms, StallReport, TraceRecorder};
 use carf_workloads::{all_workloads, Workload};
 
@@ -187,14 +187,13 @@ fn main() {
             h.dispatch_to_retire.mean()
         );
 
-        if std::fs::create_dir_all(&traces_dir).is_ok() {
-            let trace_path =
-                traces_dir.join(format!("{}_{}.json", point.workload, point.label));
-            match std::fs::write(&trace_path, &point.chrome_json) {
-                Ok(()) => println!("chrome trace -> {}", trace_path.display()),
-                Err(e) => eprintln!("warning: could not write {}: {e}", trace_path.display()),
-            }
-        }
+        let trace_path = traces_dir.join(format!("{}_{}.json", point.workload, point.label));
+        parallel::exit_on_write_error(
+            fsio::atomic_write(&trace_path, point.chrome_json.as_bytes()).map_err(|e| {
+                std::io::Error::new(e.kind(), format!("{}: {e}", trace_path.display()))
+            }),
+        );
+        println!("chrome trace -> {}", trace_path.display());
 
         // One merged record per (bin, workload, machine, budget).
         let key = [

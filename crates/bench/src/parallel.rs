@@ -8,11 +8,13 @@
 //! **byte-identical to the serial run** regardless of worker count or
 //! scheduling.
 //!
-//! The engine also collects wall-clock timing: per-point durations and
-//! the total run time, written as machine-readable JSON by
-//! [`write_timing_json`] (see `results/bench_timing.json`). Results
-//! records of every kind go through [`write_records`], which merges them
-//! into their file with [`crate::json::update_records`].
+//! The engine also keeps a ledger of what each run simulated: every
+//! point's name, wall-clock seconds and committed instructions, plus the
+//! total run time, written by [`write_timing_json`] (see
+//! `results/bench_timing.json`). Simulator throughput is measured by the
+//! repository benchmark (`perfbench/`), not here. Results records of
+//! every kind go through [`write_records`], which merges them into their
+//! file with [`crate::json::update_records`].
 
 use crate::json::{self, Value};
 use crate::Budget;
@@ -76,17 +78,6 @@ pub struct PointTiming {
     pub committed: u64,
 }
 
-impl PointTiming {
-    /// Committed kilo-instructions per wall-second (0 for a zero-length run).
-    pub fn kips(&self) -> f64 {
-        if self.secs > 0.0 {
-            self.committed as f64 / 1000.0 / self.secs
-        } else {
-            0.0
-        }
-    }
-}
-
 static POINTS: Mutex<Vec<PointTiming>> = Mutex::new(Vec::new());
 static RUN_START: OnceLock<Instant> = OnceLock::new();
 
@@ -101,21 +92,6 @@ pub fn record_point(name: String, secs: f64, committed: u64) {
         .lock()
         .expect("timing collector poisoned")
         .push(PointTiming { name, secs, committed });
-}
-
-/// Geometric mean of per-point KIPS (0 when no point has a measurable rate).
-pub fn geomean_kips(points: &[PointTiming]) -> f64 {
-    let rates: Vec<f64> = points.iter().map(PointTiming::kips).filter(|k| *k > 0.0).collect();
-    if rates.is_empty() {
-        return 0.0;
-    }
-    let log_sum: f64 = rates.iter().map(|k| k.ln()).sum();
-    (log_sum / rates.len() as f64).exp()
-}
-
-/// Highest per-point KIPS (the peak committed-instruction rate).
-pub fn peak_kips(points: &[PointTiming]) -> f64 {
-    points.iter().map(PointTiming::kips).fold(0.0, f64::max)
 }
 
 /// Seconds elapsed since [`note_run_start`] (0 when nothing ran).
@@ -213,12 +189,13 @@ pub fn exit_on_write_error<T>(written: io::Result<T>) -> T {
 ///
 /// The file holds one record per line, each of the form
 /// `{"bin": ..., "budget": ..., "jobs": N, "total_secs": S,
-/// "geomean_kips": G, "peak_kips": P, "points": [{"name": ..., "secs": ...,
-/// "committed": ..., "kips": ...}, ...]}`. Records are keyed by
-/// `(bin, budget, jobs)` **field values** and rotated: re-running the same
-/// configuration keeps at most the last [`TIMING_KEEP_RUNS`] records for
-/// its key, so the file holds a short history per configuration without
-/// growing unboundedly.
+/// "points": [{"name": ..., "secs": ..., "committed": ...}, ...]}`: which
+/// points a run simulated and how long each took. Throughput is measured
+/// by the repository benchmark (`perfbench/`), which reports it with its
+/// spread and host. Records are keyed by `(bin, budget, jobs)` **field
+/// values** and rotated: re-running the same configuration keeps at most
+/// the last [`TIMING_KEEP_RUNS`] records for its key, so the file holds a
+/// short history per configuration without growing unboundedly.
 ///
 /// # Errors
 ///
@@ -240,11 +217,10 @@ pub fn write_timing_json(budget: &Budget) -> io::Result<Option<PathBuf>> {
         TIMING_KEEP_RUNS,
     )?;
     println!(
-        "timing: {} points in {:.2}s with {} worker(s), geomean {:.1} KIPS -> {}",
+        "timing: {} points in {:.2}s with {} worker(s) -> {}",
         points.len(),
         total,
         budget.jobs,
-        geomean_kips(&points),
         path.display()
     );
     Ok(Some(path))
@@ -267,7 +243,6 @@ pub fn timing_record(
             ("name", p.name.as_str().into()),
             ("secs", Value::fixed(p.secs, 3)),
             ("committed", p.committed.into()),
-            ("kips", Value::fixed(p.kips(), 3)),
         ])
     });
     Value::object([
@@ -275,8 +250,6 @@ pub fn timing_record(
         ("budget", budget_label.into()),
         ("jobs", jobs.into()),
         ("total_secs", Value::fixed(total_secs, 3)),
-        ("geomean_kips", Value::fixed(geomean_kips(points), 3)),
-        ("peak_kips", Value::fixed(peak_kips(points), 3)),
         ("points", rows.collect()),
     ])
 }
@@ -341,7 +314,7 @@ mod tests {
 
     #[test]
     fn json_field_matches_only_top_level_keys() {
-        // A timing record nests `name`/`secs`/`kips` fields inside the
+        // A timing record nests `name`/`secs`/`committed` fields inside the
         // `points` array. The scanner must neither report a nested field as
         // the top-level one nor let a nested occurrence shadow a top-level
         // field that comes after it.
@@ -470,38 +443,15 @@ mod tests {
     }
 
     #[test]
-    fn kips_is_committed_per_millisecond() {
-        let p = PointTiming { name: "x".into(), secs: 2.0, committed: 500_000 };
-        assert!((p.kips() - 250.0).abs() < 1e-9);
-        let zero = PointTiming { name: "z".into(), secs: 0.0, committed: 10 };
-        assert_eq!(zero.kips(), 0.0);
-    }
-
-    #[test]
-    fn geomean_and_peak_kips() {
-        let points = vec![
-            PointTiming { name: "a".into(), secs: 1.0, committed: 100_000 }, // 100 KIPS
-            PointTiming { name: "b".into(), secs: 1.0, committed: 400_000 }, // 400 KIPS
-            PointTiming { name: "z".into(), secs: 0.0, committed: 1 },       // excluded
-        ];
-        assert!((geomean_kips(&points) - 200.0).abs() < 1e-9);
-        assert!((peak_kips(&points) - 400.0).abs() < 1e-9);
-        assert_eq!(geomean_kips(&[]), 0.0);
-        assert_eq!(peak_kips(&[]), 0.0);
-    }
-
-    #[test]
     fn timing_record_shape_is_stable() {
         let points = vec![PointTiming { name: "Int/a".into(), secs: 0.5, committed: 200_000 }];
-        let rec = timing_record("bench_kips", "quick", 1, 0.5, &points);
+        let rec = timing_record("fig5_ipc_sweep", "quick", 1, 0.5, &points);
         assert_eq!(
             rec.to_string(),
-            "{\"bin\":\"bench_kips\",\"budget\":\"quick\",\"jobs\":1,\
-             \"total_secs\":0.500,\"geomean_kips\":400.000,\"peak_kips\":400.000,\
-             \"points\":[{\"name\":\"Int/a\",\"secs\":0.500,\"committed\":200000,\
-             \"kips\":400.000}]}"
+            "{\"bin\":\"fig5_ipc_sweep\",\"budget\":\"quick\",\"jobs\":1,\
+             \"total_secs\":0.500,\"points\":[{\"name\":\"Int/a\",\"secs\":0.500,\
+             \"committed\":200000}]}"
         );
-        assert_eq!(rec.get("geomean_kips"), Some(&Value::Number("400.000".into())));
     }
 
     #[test]

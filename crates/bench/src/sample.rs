@@ -69,12 +69,19 @@ impl SampleSpec {
                 .ok_or_else(|| format!("`--sample` {name} expects a positive integer, got `{v}`"))
         };
         let out = Self { interval: num("interval", i)?, period: num("period", p)?, warmup: num("warmup", w)? };
-        if out.warmup >= out.interval * (out.period - 1).max(1) {
+        // The gap below and `detail_bound` multiply no more than this.
+        if out.interval.checked_mul(out.period).is_none() {
+            return Err(format!(
+                "`--sample` interval * period ({} * {}) overflows a 64-bit count",
+                out.interval, out.period
+            ));
+        }
+        let gap = out.interval * (out.period - 1).max(1);
+        if out.warmup >= gap {
             return Err(format!(
                 "`--sample` warm-up ({}) must be shorter than the gap between \
-                 measured intervals ({})",
-                out.warmup,
-                out.interval * (out.period - 1).max(1)
+                 measured intervals ({gap})",
+                out.warmup
             ));
         }
         Ok(out)
@@ -406,6 +413,18 @@ mod tests {
         // Warm-up longer than the gap between measured intervals would
         // make windows overlap.
         assert!(SampleSpec::parse("1000/2/1000").is_err());
+    }
+
+    #[test]
+    fn spec_parsing_rejects_an_interval_period_product_past_u64() {
+        // 6148914691236517206 * 3 wraps to 2 in release builds, so an
+        // unchecked product would pass the warm-up check (and panic in
+        // debug builds).
+        let err = SampleSpec::parse("6148914691236517206/4/1").unwrap_err();
+        assert!(err.contains("interval * period"), "{err}");
+        let half = SampleSpec::parse(&format!("{}/2/1", u64::MAX / 2)).unwrap();
+        let bound = half.detail_bound();
+        assert!(bound.is_finite() && bound <= 1.0, "{bound}");
     }
 
     #[test]

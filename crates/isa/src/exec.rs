@@ -324,7 +324,7 @@ impl Machine {
 
     /// [`Machine::run`] via repeated [`Machine::step`] — the pre-decoded-
     /// cache loop. Kept as the reference the decoded executor is pinned
-    /// against (differential tests) and as the microbenchmark baseline.
+    /// against (differential tests).
     ///
     /// # Errors
     ///

@@ -1,20 +1,16 @@
-//! Register renaming: map tables, free lists, and branch checkpoints.
+//! Register renaming: map tables and free lists.
+//!
+//! Misprediction recovery needs no map snapshots: it undoes the squashed
+//! instructions' renames youngest first (`map[arch] = old`) and frees
+//! their physical registers. The hardware checkpoint budget is modelled
+//! as a dispatch stall on unresolved branches (`SimConfig::checkpoints`).
 
 use carf_isa::{FpReg, IntReg};
 
 /// Physical register number.
 pub type Preg = u16;
 
-/// A saved rename-map snapshot taken at a branch.
-#[derive(Debug, Clone)]
-struct Checkpoint {
-    seq: u64,
-    int_map: [Preg; 32],
-    fp_map: [Preg; 32],
-}
-
-/// Rename state: one map per register file, free lists, and a checkpoint
-/// stack for branch recovery.
+/// Rename state: one map per register file and one free list per file.
 ///
 /// `x0` is never renamed: it permanently owns physical register 0, which is
 /// initialized to zero and never freed, and destination writes to it are
@@ -37,8 +33,6 @@ pub struct RenameTables {
     fp_map: [Preg; 32],
     int_free: Vec<Preg>,
     fp_free: Vec<Preg>,
-    checkpoints: Vec<Checkpoint>,
-    checkpoint_limit: usize,
 }
 
 impl RenameTables {
@@ -63,15 +57,7 @@ impl RenameTables {
             fp_map,
             int_free: (32..int_pregs as Preg).rev().collect(),
             fp_free: (32..fp_pregs as Preg).rev().collect(),
-            checkpoints: Vec::new(),
-            checkpoint_limit: usize::MAX,
         }
-    }
-
-    /// Caps the number of simultaneously live checkpoints (rename stalls at
-    /// the cap).
-    pub fn set_checkpoint_limit(&mut self, limit: usize) {
-        self.checkpoint_limit = limit.max(1);
     }
 
     /// Current physical mapping of an integer architectural register.
@@ -129,65 +115,6 @@ impl RenameTables {
         self.fp_free.push(preg);
     }
 
-    /// `true` when another checkpoint may be taken.
-    pub fn can_checkpoint(&self) -> bool {
-        self.checkpoints.len() < self.checkpoint_limit
-    }
-
-    /// Snapshots the maps for the branch with sequence number `seq`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the checkpoint limit is exceeded or `seq` is not strictly
-    /// increasing.
-    pub fn take_checkpoint(&mut self, seq: u64) {
-        assert!(self.can_checkpoint(), "checkpoint limit exceeded");
-        if let Some(last) = self.checkpoints.last() {
-            assert!(last.seq < seq, "checkpoints must be taken in program order");
-        }
-        self.checkpoints.push(Checkpoint { seq, int_map: self.int_map, fp_map: self.fp_map });
-    }
-
-    /// Restores the maps from the checkpoint taken at `seq`, dropping it
-    /// and every younger checkpoint. The caller separately returns the
-    /// squashed instructions' pregs via [`RenameTables::free_int`]/
-    /// [`RenameTables::free_fp`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if no checkpoint with `seq` exists.
-    pub fn restore_checkpoint(&mut self, seq: u64) {
-        let pos = self
-            .checkpoints
-            .iter()
-            .position(|c| c.seq == seq)
-            .expect("restoring a checkpoint that was never taken");
-        let cp = &self.checkpoints[pos];
-        self.int_map = cp.int_map;
-        self.fp_map = cp.fp_map;
-        self.checkpoints.truncate(pos);
-    }
-
-    /// Drops the checkpoint for `seq` after the branch resolves correctly.
-    /// A missing checkpoint is a no-op (it may already have been dropped by
-    /// an older branch's recovery).
-    pub fn drop_checkpoint(&mut self, seq: u64) {
-        if let Some(pos) = self.checkpoints.iter().position(|c| c.seq == seq) {
-            self.checkpoints.remove(pos);
-        }
-    }
-
-    /// Drops every checkpoint younger than `seq` (used when an older
-    /// branch squashes).
-    pub fn drop_checkpoints_after(&mut self, seq: u64) {
-        self.checkpoints.retain(|c| c.seq <= seq);
-    }
-
-    /// Live checkpoints.
-    pub fn checkpoint_count(&self) -> usize {
-        self.checkpoints.len()
-    }
-
     /// The current integer map (for oracle/architectural scans).
     pub fn int_map(&self) -> &[Preg; 32] {
         &self.int_map
@@ -198,8 +125,8 @@ impl RenameTables {
         &self.fp_map
     }
 
-    /// Replaces both maps wholesale (recovery paths that rebuild the map
-    /// from the committed state instead of restoring a stored checkpoint).
+    /// Replaces both maps wholesale (recovery writes back the maps it
+    /// rebuilt by undoing the squashed renames).
     pub fn set_maps(&mut self, int_map: [Preg; 32], fp_map: [Preg; 32]) {
         self.int_map = int_map;
         self.fp_map = fp_map;
@@ -243,57 +170,9 @@ mod tests {
     }
 
     #[test]
-    fn checkpoint_restore_recovers_maps() {
-        let mut rt = RenameTables::new(64, 64);
-        let (a, _) = rt.rename_int_dest(x(1)).unwrap();
-        rt.take_checkpoint(10);
-        let (_b, _) = rt.rename_int_dest(x(1)).unwrap();
-        let (_c, _) = rt.rename_fp_dest(f(2)).unwrap();
-        rt.restore_checkpoint(10);
-        assert_eq!(rt.lookup_int(x(1)), a);
-        assert_eq!(rt.lookup_fp(f(2)), 2);
-        assert_eq!(rt.checkpoint_count(), 0);
-    }
-
-    #[test]
-    fn restore_drops_younger_checkpoints() {
-        let mut rt = RenameTables::new(64, 64);
-        rt.take_checkpoint(1);
-        rt.rename_int_dest(x(1)).unwrap();
-        rt.take_checkpoint(2);
-        rt.rename_int_dest(x(1)).unwrap();
-        rt.take_checkpoint(3);
-        rt.restore_checkpoint(2);
-        assert_eq!(rt.checkpoint_count(), 1); // only seq 1 survives
-        rt.restore_checkpoint(1);
-        assert_eq!(rt.lookup_int(x(1)), 1);
-    }
-
-    #[test]
-    fn checkpoint_limit_is_enforced() {
-        let mut rt = RenameTables::new(64, 64);
-        rt.set_checkpoint_limit(2);
-        rt.take_checkpoint(1);
-        rt.take_checkpoint(2);
-        assert!(!rt.can_checkpoint());
-        rt.drop_checkpoint(1);
-        assert!(rt.can_checkpoint());
-    }
-
-    #[test]
     #[should_panic(expected = "x0 is not renamable")]
     fn renaming_x0_is_a_bug() {
         let mut rt = RenameTables::new(64, 64);
         let _ = rt.rename_int_dest(x(0));
-    }
-
-    #[test]
-    fn drop_checkpoints_after_prunes_younger() {
-        let mut rt = RenameTables::new(64, 64);
-        rt.take_checkpoint(1);
-        rt.take_checkpoint(2);
-        rt.take_checkpoint(3);
-        rt.drop_checkpoints_after(1);
-        assert_eq!(rt.checkpoint_count(), 1);
     }
 }

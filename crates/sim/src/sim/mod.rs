@@ -669,8 +669,7 @@ impl<R: RegFileBackend, T: Tracer> Simulator<R, T> {
         // port-reduced file) overrides the machine configuration.
         let int_read_ports = int_rf.read_port_limit().unwrap_or(config.rf_read_ports);
 
-        let mut rename = RenameTables::new(config.int_pregs, config.fp_pregs);
-        rename.set_checkpoint_limit(config.checkpoints);
+        let rename = RenameTables::new(config.int_pregs, config.fp_pregs);
 
         let mut mem = SparseMemory::new();
         program.load_data(&mut mem);

@@ -143,14 +143,6 @@ r = next(x for x in recs if x['figure'] == 'fig1')
 assert len(r['corpus']) == 6 and len(r['delta_pp']) == 6, r
 "
 
-echo "==> scheduler hot-loop microbench (informational)"
-# Perf smoke: the Criterion microbench is informational — it fails the
-# gate only if the simulator crashes, never on a slow number. Throughput
-# is measured, with its spread, by the repository benchmark
-# (perfbench/README.md).
-cargo bench -q -p carf-bench --bench sim_hotloop -- --sample-size 10 \
-    | grep -E "time:|sim_hotloop/" || true
-
 echo "==> carf-sample smoke test (sampled vs full IPC)"
 # Sampled-simulation gate on a tiny budget: the int suite under the CARF
 # machine, checked against the straight-through run. The tolerance is

@@ -5,7 +5,7 @@
 
 use carf_core::{CarfParams, Policies};
 use carf_sim::{RegFileKind, SimConfig, AnySimulator};
-use carf_workloads::{random_program, RandomProgramParams};
+use carf_workloads::{int_suite, random_program, RandomProgramParams, SizeClass};
 
 fn stress_config() -> SimConfig {
     // Tiny structures maximize squashes, stalls, and recovery traffic.
@@ -187,4 +187,29 @@ fn random_programs_with_optimistic_memory_disambiguation() {
         let result = sim.run(5_000_000).unwrap_or_else(|e| panic!("seed {seed}: {e}"));
         assert!(result.halted, "seed {seed}");
     }
+}
+
+#[test]
+fn the_checkpoint_budget_bounds_unresolved_branches_at_dispatch() {
+    // `checkpoints` caps the branches in flight past dispatch: with one, a
+    // branch behind an unresolved one must wait; with one per ROB entry
+    // the cap can never bind, because a full ROB stalls dispatch first.
+    let program = int_suite()
+        .into_iter()
+        .find(|w| w.name == "state_machine")
+        .expect("state_machine is in the int suite")
+        .build_class(SizeClass::Test);
+    let checkpoint_stalls = |checkpoints: usize| {
+        let mut cfg = SimConfig::test_small();
+        cfg.cosim = true;
+        cfg.checkpoints = checkpoints;
+        let mut sim = AnySimulator::new(cfg, &program);
+        let result = sim
+            .run(5_000_000)
+            .unwrap_or_else(|e| panic!("checkpoints = {checkpoints}: {e}"));
+        assert!(result.halted, "checkpoints = {checkpoints} did not halt");
+        sim.stats().dispatch_stalls.checkpoints
+    };
+    assert_ne!(checkpoint_stalls(1), 0);
+    assert_eq!(checkpoint_stalls(SimConfig::test_small().rob_size), 0);
 }

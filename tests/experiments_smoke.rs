@@ -209,3 +209,25 @@ fn a_failed_results_write_is_an_error_naming_the_file() {
         "{stderr}"
     );
 }
+
+#[test]
+fn a_failed_chrome_trace_write_is_an_error_naming_the_file() {
+    // A regular file where the traces directory should be.
+    let dir = std::env::temp_dir().join(format!("carf-trace-results-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).expect("temp dir");
+    std::fs::write(dir.join("traces"), "not a directory").expect("temp file");
+    let out = std::process::Command::new(env!("CARGO_BIN_EXE_carf-trace"))
+        .args(["--quick", "--jobs", "1", "--machine", "base", "sort_kernel"])
+        .env("CARF_RESULTS_DIR", &dir)
+        .env_remove("CARF_CACHE_REQUIRE_WARM")
+        .output()
+        .expect("carf-trace runs");
+    let _ = std::fs::remove_dir_all(&dir);
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(1), "stderr:\n{stderr}");
+    assert!(
+        stderr.contains("error: could not write") && stderr.contains("sort_kernel_base.json"),
+        "{stderr}"
+    );
+}
