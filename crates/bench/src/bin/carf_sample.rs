@@ -103,7 +103,7 @@ fn main() {
     let check: Option<f64> = parsed.option("--check").map(|v| {
         v.parse::<f64>()
             .ok()
-            .filter(|t| *t > 0.0)
+            .filter(|t| t.is_finite() && *t > 0.0)
             .unwrap_or_else(|| SPEC.fail("`--check` expects a positive relative tolerance"))
     });
 

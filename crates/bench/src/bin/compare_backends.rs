@@ -8,7 +8,7 @@
 //! issue-structural cycles and read-port denials). A merged record lands
 //! in `results/backend_compare.json`.
 
-use carf_bench::cache::cached_derived_f64;
+use carf_bench::cache::run_derived_cached;
 use carf_bench::cli::{parse_suites, CliSpec, MachineSet, OptSpec};
 use carf_bench::json::Value;
 use carf_bench::{
@@ -124,6 +124,15 @@ fn main() {
         })
         .collect();
 
+    // The traced stall-attribution runs are simulations too: cache them
+    // as derived scalars, one per machine, so a warm re-run does zero
+    // simulation.
+    let configs: Vec<SimConfig> = rows.iter().map(|row| row.config.clone()).collect();
+    let issue_shares = run_derived_cached("issue_structural_share/tridiag", &configs, &budget, |c| {
+        traced_issue_structural_share(c, &budget)
+    })
+    .results;
+
     let model = TechModel::default_model();
     let base = rows.first().expect("baseline row");
     let (base_reads, base_writes, base_hits, _) = base.totals();
@@ -143,18 +152,10 @@ fn main() {
 
     let mut table: Vec<Vec<String>> = Vec::new();
     let mut records: Vec<Value> = Vec::new();
-    for row in &rows {
+    for (row, &issue_share) in rows.iter().zip(&issue_shares) {
         let (reads, writes, capture_hits, port_denials) = row.totals();
         let energy = rf_energy_for(&model, &row.config.regfile, &reads, &writes, capture_hits);
         let area = organization_for(&row.config.regfile).area(&model);
-        // The traced stall-attribution run is a simulation too: cache it
-        // as a derived scalar so a warm re-run does zero simulation.
-        let (issue_share, _) = cached_derived_f64(
-            "issue_structural_share/tridiag",
-            &row.config,
-            &budget,
-            || traced_issue_structural_share(&row.config, &budget),
-        );
         let rel_ipc = match (row.ipc(Suite::Int), base_int_ipc) {
             (Some(ipc), Some(base_ipc)) if base_ipc > 0.0 => ipc / base_ipc,
             _ => {

@@ -10,37 +10,17 @@
 //! through the same oracle, and the synthetic-vs-real delta lands in
 //! `results/corpus_demographics.json`.
 
-use carf_bench::cli::{CliSpec, OptSpec};
+use carf_bench::cli::CliSpec;
+use carf_bench::corpus::{self, json_fractions};
 use carf_bench::json::Value;
-use carf_bench::{
-    corpus, parallel, pct, print_table, run_custom_with_cache, suite_points, Budget, SuiteResult,
-};
+use carf_bench::{pct, print_table, SuiteResult};
 use carf_core::analysis::{GroupAccumulator, GROUP_LABELS};
-use carf_sim::SimConfig;
-use carf_workloads::Suite;
 
 const SPEC: CliSpec = CliSpec {
     bin: "fig1_value_distribution",
-    options: &[
-        OptSpec {
-            name: "--corpus",
-            value: None,
-            help: "also run the real-program corpus; report the synthetic-vs-real delta",
-        },
-        OptSpec {
-            name: "--corpus-dir",
-            value: Some("DIR"),
-            help: "corpus root (default: corpus/; implies --corpus)",
-        },
-    ],
+    options: corpus::CORPUS_OPTIONS,
     operands: None,
 };
-
-fn oracle_config(budget: &Budget) -> SimConfig {
-    let mut cfg = SimConfig::paper_baseline();
-    cfg.oracle_period = Some(budget.oracle_period);
-    cfg
-}
 
 /// The oracle's value groups merged over one suite's (or the corpus's) runs.
 fn merged(result: &SuiteResult) -> GroupAccumulator {
@@ -51,18 +31,11 @@ fn merged(result: &SuiteResult) -> GroupAccumulator {
     acc
 }
 
-fn json_fractions(f: &[f64]) -> Value {
-    f.iter().map(|x| Value::fixed(*x, 6)).collect()
-}
-
 fn main() {
     let parsed = SPEC.parse();
     let budget = parsed.budget;
     println!("Figure 1: distribution of live integer data values ({} run)", budget.label());
-    // Oracle points are not cached: no other binary stores them.
-    let cfg = oracle_config(&budget);
-    let points = suite_points(&[(cfg.clone(), Suite::Int), (cfg.clone(), Suite::Fp)]);
-    let results = run_custom_with_cache(&points, &budget, None).results;
+    let results = corpus::oracle_suites(&budget);
     let (int, fp) = (merged(&results[0]), merged(&results[1]));
 
     // The paper's attested anchors: a single value accounts for ~14% of all
@@ -95,17 +68,8 @@ fn main() {
         budget.oracle_period
     );
 
-    let Some(root) = corpus::corpus_root(&parsed) else { return };
-    let workloads = match corpus::workloads(&root, Suite::Int) {
-        Ok(w) => w,
-        Err(e) => {
-            eprintln!("error: {e}");
-            std::process::exit(1);
-        }
-    };
-    let points = [(cfg, Suite::Int, workloads)];
-    let real = merged(&run_custom_with_cache(&points, &budget, None).results[0]);
-    let workloads = &points[0].2;
+    let Some(corpus_runs) = corpus::oracle_corpus(&parsed, &budget) else { return };
+    let (real, programs) = (merged(&corpus_runs), corpus_runs.runs.len());
 
     let (sf, cf) = (int.fractions(), real.fractions());
     let rows: Vec<Vec<String>> = GROUP_LABELS
@@ -121,7 +85,7 @@ fn main() {
         })
         .collect();
     print_table(
-        &format!("Synthetic INT vs corpus ({} programs)", workloads.len()),
+        &format!("Synthetic INT vs corpus ({programs} programs)"),
         &["group", "synthetic", "corpus", "delta"],
         &rows,
     );
@@ -130,17 +94,11 @@ fn main() {
     let record = Value::object([
         ("figure", "fig1".into()),
         ("budget", budget.label().into()),
-        ("programs", workloads.len().into()),
+        ("programs", programs.into()),
         ("snapshots", real.snapshots().into()),
         ("synthetic_int", json_fractions(&sf)),
         ("corpus", json_fractions(&cf)),
         ("delta_pp", json_fractions(&delta)),
     ]);
-    let path = parallel::exit_on_write_error(parallel::write_records(
-        "corpus_demographics.json",
-        vec![record],
-        &["figure", "budget"],
-        1,
-    ));
-    println!("\ncorpus demographics -> {}", path.display());
+    corpus::write_demographics(record);
 }

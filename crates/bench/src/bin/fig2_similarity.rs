@@ -9,37 +9,18 @@
 //! and the synthetic-vs-real delta (per `d`) lands in
 //! `results/corpus_demographics.json`.
 
-use carf_bench::cli::{CliSpec, OptSpec};
+use carf_bench::cli::CliSpec;
+use carf_bench::corpus::{self, json_fractions};
 use carf_bench::json::Value;
-use carf_bench::{
-    corpus, parallel, pct, print_table, run_custom_with_cache, suite_points, Budget, SuiteResult,
-};
+use carf_bench::{pct, print_table, SuiteResult};
 use carf_core::analysis::{GroupAccumulator, GROUP_LABELS};
-use carf_sim::{SimConfig, SimStats};
-use carf_workloads::Suite;
+use carf_sim::SimStats;
 
 const SPEC: CliSpec = CliSpec {
     bin: "fig2_similarity",
-    options: &[
-        OptSpec {
-            name: "--corpus",
-            value: None,
-            help: "also run the real-program corpus; report the synthetic-vs-real delta",
-        },
-        OptSpec {
-            name: "--corpus-dir",
-            value: Some("DIR"),
-            help: "corpus root (default: corpus/; implies --corpus)",
-        },
-    ],
+    options: corpus::CORPUS_OPTIONS,
     operands: None,
 };
-
-fn oracle_config(budget: &Budget) -> SimConfig {
-    let mut cfg = SimConfig::paper_baseline();
-    cfg.oracle_period = Some(budget.oracle_period);
-    cfg
-}
 
 fn merge(runs: &[SimStats], pick: fn(&SimStats) -> &GroupAccumulator) -> GroupAccumulator {
     let mut acc = GroupAccumulator::new();
@@ -54,19 +35,12 @@ fn stats_of(results: Vec<SuiteResult>) -> Vec<SimStats> {
     results.into_iter().flat_map(|r| r.runs).map(|(_, s)| s).collect()
 }
 
-fn json_fractions(f: &[f64]) -> Value {
-    f.iter().map(|x| Value::fixed(*x, 6)).collect()
-}
-
 fn main() {
     let parsed = SPEC.parse();
     let budget = parsed.budget;
     println!("Figure 2: (64-d)-similar live value distribution ({} run)", budget.label());
-    let cfg = oracle_config(&budget);
 
-    // Oracle points are not cached: no other binary stores them.
-    let points = suite_points(&[(cfg.clone(), Suite::Int), (cfg.clone(), Suite::Fp)]);
-    let runs = stats_of(run_custom_with_cache(&points, &budget, None).results);
+    let runs = stats_of(corpus::oracle_suites(&budget));
     let d8 = merge(&runs, |s| &s.oracle.sim_d8);
     let d12 = merge(&runs, |s| &s.oracle.sim_d12);
     let d16 = merge(&runs, |s| &s.oracle.sim_d16);
@@ -102,17 +76,9 @@ fn main() {
             pct(top4), pct(f[5]));
     }
 
-    let Some(root) = corpus::corpus_root(&parsed) else { return };
-    let workloads = match corpus::workloads(&root, Suite::Int) {
-        Ok(w) => w,
-        Err(e) => {
-            eprintln!("error: {e}");
-            std::process::exit(1);
-        }
-    };
-    let points = [(cfg, Suite::Int, workloads)];
-    let corpus_runs = stats_of(run_custom_with_cache(&points, &budget, None).results);
-    let workloads = &points[0].2;
+    let Some(real) = corpus::oracle_corpus(&parsed, &budget) else { return };
+    let programs = real.runs.len();
+    let corpus_runs = stats_of(vec![real]);
     let c8 = merge(&corpus_runs, |s| &s.oracle.sim_d8);
     let c12 = merge(&corpus_runs, |s| &s.oracle.sim_d12);
     let c16 = merge(&corpus_runs, |s| &s.oracle.sim_d16);
@@ -132,7 +98,7 @@ fn main() {
         })
         .collect();
     print_table(
-        &format!("Synthetic vs corpus, d=8 ({} programs)", workloads.len()),
+        &format!("Synthetic vs corpus, d=8 ({programs} programs)"),
         &["group", "synthetic d=8", "corpus d=8", "delta", "corpus d=16"],
         &rows,
     );
@@ -140,7 +106,7 @@ fn main() {
     let mut fields: Vec<(String, Value)> = vec![
         ("figure".into(), "fig2".into()),
         ("budget".into(), budget.label().into()),
-        ("programs".into(), workloads.len().into()),
+        ("programs".into(), programs.into()),
         ("snapshots".into(), c8.snapshots().into()),
     ];
     for (tag, synth, real) in [("d8", &d8, &c8), ("d12", &d12, &c12), ("d16", &d16, &c16)] {
@@ -150,11 +116,5 @@ fn main() {
         fields.push((format!("corpus_{tag}"), json_fractions(&cf)));
         fields.push((format!("delta_pp_{tag}"), json_fractions(&delta)));
     }
-    let path = parallel::exit_on_write_error(parallel::write_records(
-        "corpus_demographics.json",
-        vec![Value::Object(fields)],
-        &["figure", "budget"],
-        1,
-    ));
-    println!("\ncorpus demographics -> {}", path.display());
+    corpus::write_demographics(Value::Object(fields));
 }

@@ -6,6 +6,9 @@ use carf_core::CarfParams;
 use carf_energy::TechModel;
 
 fn main() {
+    // A model, not a simulation: the budget flags are checked like every
+    // binary's, then unused.
+    carf_bench::cli::budget_for(env!("CARGO_BIN_NAME"));
     println!("Figure 8: relative register-file area");
     let model = TechModel::default_model();
     let unl = model.area(&unlimited_geometry());

@@ -10,6 +10,9 @@ use carf_core::CarfParams;
 use carf_energy::TechModel;
 
 fn main() {
+    // A model, not a simulation: the budget flags are checked like every
+    // binary's, then unused.
+    carf_bench::cli::budget_for(env!("CARGO_BIN_NAME"));
     println!("Figure 9: relative register-file access time");
     let model = TechModel::default_model();
     let unl = model.access_time(&unlimited_geometry());

@@ -16,6 +16,9 @@ use carf_core::CarfParams;
 use carf_energy::{RegFileGeometry, TechModel, PAPER_UNLIMITED};
 
 fn main() {
+    // A model, not a simulation: the budget flags are checked like every
+    // binary's, then unused.
+    carf_bench::cli::budget_for(env!("CARGO_BIN_NAME"));
     println!("§7 related-work energy comparison (single consistent model)");
     let model = TechModel::default_model();
     let unl = model.read_energy(&PAPER_UNLIMITED);

@@ -9,6 +9,9 @@ use carf_core::CarfParams;
 use carf_energy::{TechModel, PAPER_BASELINE};
 
 fn main() {
+    // A model, not a simulation: the budget flags are checked like every
+    // binary's, then unused.
+    carf_bench::cli::budget_for(env!("CARGO_BIN_NAME"));
     println!("Table 3: single-access energy relative to the unlimited file");
     let model = TechModel::default_model();
     let unl = model.read_energy(&unlimited_geometry());

@@ -18,11 +18,16 @@
 //! the exact [`crate::statsio`] object, a derived scalar's bits, or a
 //! multi point's packed `threads` string — so a warm run reproduces
 //! **byte-identical** downstream result records. Entries are built and
-//! parsed through [`crate::json`]; one that does not parse is a miss. A
-//! human-readable `index.json` maps keys back to (config, point, budget)
-//! labels. A run stages the rows of the entries it stores and merges them
-//! with one [`crate::json::update_records`] call, under an advisory lock
-//! so concurrent bins cannot lose each other's rows.
+//! parsed through [`crate::json`]; one that does not parse is a miss.
+//! There is no index: each entry's first members already say what it
+//! holds, so a store is one atomic rename and a listing reads the entries.
+//!
+//! Simulation points, multi-context co-simulations and derived scalars go
+//! through one loop: look every item up by key, simulate the misses over
+//! the worker pool in input order, store their entries, and return an
+//! [`Outcome`] ledger. Each public runner is a typed front-end that
+//! supplies the key, the decoder, the simulation and the entry; the
+//! `*_cached` ones print the ledger as `cache: served N, simulated M`.
 //!
 //! Environment knobs:
 //!
@@ -229,17 +234,6 @@ pub fn derived_key(tag: &str, config: &SimConfig, budget: &Budget) -> u128 {
     ))
 }
 
-/// Where one point came from.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum CacheStatus {
-    /// Served from the on-disk cache without simulating.
-    Hit,
-    /// Simulated (and stored for next time).
-    Miss,
-    /// The cache is disabled (`CARF_CACHE=0`); simulated, nothing stored.
-    Bypass,
-}
-
 /// The on-disk content-addressed store under `<results>/cache/`.
 #[derive(Debug, Clone)]
 pub struct ResultCache {
@@ -290,9 +284,7 @@ impl ResultCache {
         stats_from_value(self.load_entry(key)?.get("stats")?).ok()
     }
 
-    /// Stores a simulation point and records it in the index. Storage
-    /// failures are reported to stderr but never abort an experiment —
-    /// the simulation result in hand is still valid.
+    /// Stores a simulation point.
     pub fn store_point(
         &self,
         key: u128,
@@ -301,7 +293,7 @@ impl ResultCache {
         budget: &Budget,
         stats: &SimStats,
     ) {
-        self.commit_entry(key, point_entry(key, point, config, budget, stats));
+        self.store(key, &point_entry(key, point, config, budget, stats));
     }
 
     /// Looks up a derived scalar (stored bit-exactly).
@@ -309,55 +301,25 @@ impl ResultCache {
         self.load_entry(key)?.get("value_bits")?.as_u64().map(f64::from_bits)
     }
 
-    /// Stores a derived scalar under its [`derived_key`].
-    pub fn store_derived(
-        &self,
-        key: u128,
-        tag: &str,
-        config: &SimConfig,
-        budget: &Budget,
-        value: f64,
-    ) {
-        let bits = ("value_bits", value.to_bits().into());
-        self.commit_entry(key, entry(key, "derived", tag, None, config, budget, bits));
+    /// Looks up a multi-context point: the per-context records, in
+    /// context order. Unreadable or malformed entries are misses.
+    pub fn load_multi(&self, key: u128) -> Option<Vec<MultiThreadRecord>> {
+        let entry = self.load_entry(key)?;
+        let threads: Option<Vec<MultiThreadRecord>> =
+            entry.get("threads")?.as_str()?.split(',').map(MultiThreadRecord::unpack).collect();
+        threads.filter(|t| !t.is_empty())
     }
 
-    /// Writes `entry` and indexes it on its own; failures are warnings.
-    fn commit_entry(&self, key: u128, entry: Value) {
-        self.index(self.write_entry(key, entry).into_iter().collect());
-    }
-
-    /// Writes `entry` (one line) and returns its `index.json` row, or
-    /// `None` after a warning when the write failed.
-    fn write_entry(&self, key: u128, entry: Value) -> Option<Value> {
+    /// Writes `entry` as one line under `key`. A failure is reported to
+    /// stderr but never aborts an experiment: the simulation result in
+    /// hand is still valid.
+    fn store(&self, key: u128, entry: &Value) {
         let path = self.entry_path(key);
         if let Err(e) = atomic_write(&path, format!("{entry}\n").as_bytes()) {
             eprintln!("warning: cache store failed for {}: {e}", path.display());
-            return None;
         }
-        Some(Value::object(INDEX_FIELDS.iter().filter_map(|f| Some((*f, entry.get(f)?.clone())))))
-    }
-
-    /// Merges `rows` into the index in one locked rewrite, in order, so
-    /// the file comes out as if each row had been merged on its own; a
-    /// failure is a warning.
-    fn index(&self, rows: Vec<Value>) {
-        if rows.is_empty() {
-            return;
-        }
-        if let Err(e) = json::update_records(&self.index_path(), rows, &["key"], 1) {
-            eprintln!("warning: cache index update failed: {e}");
-        }
-    }
-
-    /// The human-readable key → (config, point, budget) listing.
-    pub fn index_path(&self) -> PathBuf {
-        self.dir.join("index.json")
     }
 }
-
-/// The entry fields an `index.json` row repeats, in order.
-const INDEX_FIELDS: [&str; 5] = ["key", "kind", "point", "config", "budget"];
 
 /// An entry: `key`, `kind`, `point`, `extra` (a multi entry's `policy`),
 /// `config`, `budget`, `salt`, and last the `payload` member.
@@ -395,38 +357,76 @@ fn point_entry(
     entry(key, "point", point, None, config, budget, ("stats", stats_to_value(stats)))
 }
 
-/// Whether `CARF_CACHE_REQUIRE_WARM` demands a fully warm run.
-fn require_warm() -> bool {
-    std::env::var("CARF_CACHE_REQUIRE_WARM").is_ok_and(|v| {
-        let v = v.trim();
-        !v.is_empty() && v != "0"
-    })
+/// A derived scalar's entry, labelled with its tag: the value's bits.
+fn derived_entry(key: u128, tag: &str, config: &SimConfig, budget: &Budget, value: f64) -> Value {
+    entry(key, "derived", tag, None, config, budget, ("value_bits", value.to_bits().into()))
 }
 
-fn fail_cold(simulated: usize) -> ! {
-    eprintln!(
-        "error: CARF_CACHE_REQUIRE_WARM is set but {simulated} point(s) required simulation \
-         (the cache was cold or disabled)"
-    );
-    std::process::exit(3);
-}
-
-/// The result of a matrix run: the per-point suite results, in input
+/// The result of a cached run: one result per input item, in input
 /// order, plus the cache ledger.
 #[derive(Debug)]
-pub struct MatrixOutcome {
-    /// One [`SuiteResult`] per input point, in input order.
-    pub results: Vec<SuiteResult>,
-    /// Workload runs served from the cache.
+pub struct Outcome<T> {
+    /// One result per input item, in input order.
+    pub results: Vec<T>,
+    /// Items served from the cache.
     pub served: usize,
-    /// Workload runs that had to be simulated.
+    /// Items that had to be simulated.
     pub simulated: usize,
 }
 
-impl MatrixOutcome {
-    /// One summary line for experiment headers and CI greps.
-    pub fn summary(&self) -> String {
-        format!("cache: served {}, simulated {}", self.served, self.simulated)
+/// Runs `run` against [`ResultCache::from_env`], prints its ledger as
+/// `cache: served N, simulated M` and, when `CARF_CACHE_REQUIRE_WARM` is
+/// set (and not `0`), exits 3 if anything simulated.
+fn announced<T>(run: impl FnOnce(Option<&ResultCache>) -> Outcome<T>) -> Outcome<T> {
+    let outcome = run(ResultCache::from_env().as_ref());
+    println!("cache: served {}, simulated {}", outcome.served, outcome.simulated);
+    let require_warm = std::env::var("CARF_CACHE_REQUIRE_WARM")
+        .is_ok_and(|v| !matches!(v.trim(), "" | "0"));
+    if outcome.simulated > 0 && require_warm {
+        eprintln!(
+            "error: CARF_CACHE_REQUIRE_WARM is set but {} point(s) required simulation \
+             (the cache was cold or disabled)",
+            outcome.simulated
+        );
+        std::process::exit(3);
+    }
+    outcome
+}
+
+/// The one cache loop. Looks every item up under its `key` through
+/// `load`, simulates the misses with `compute` over the worker pool (in
+/// input order), stores each one as `entry` builds it, and returns every
+/// result with the ledger. With no cache every item simulates, nothing
+/// is stored and no key is computed.
+fn cached<I: Sync, T: Send>(
+    items: &[I],
+    budget: &Budget,
+    cache: Option<&ResultCache>,
+    key: impl Fn(&I) -> u128,
+    load: impl Fn(&ResultCache, u128, &I) -> Option<T>,
+    compute: impl Fn(&I) -> T + Sync,
+    entry: impl Fn(u128, &I, &T) -> Value,
+) -> Outcome<T> {
+    parallel::note_run_start();
+    let keys: Vec<u128> = match cache {
+        Some(_) => items.iter().map(key).collect(),
+        None => Vec::new(),
+    };
+    let mut results: Vec<Option<T>> = (0..items.len())
+        .map(|i| cache.and_then(|c| load(c, keys[i], &items[i])))
+        .collect();
+    let cold: Vec<usize> = (0..items.len()).filter(|&i| results[i].is_none()).collect();
+    let fresh = parallel::run_ordered(&cold, budget.jobs, |&i| compute(&items[i]));
+    for (&i, value) in cold.iter().zip(fresh) {
+        if let Some(c) = cache {
+            c.store(keys[i], &entry(keys[i], &items[i], &value));
+        }
+        results[i] = Some(value);
+    }
+    Outcome {
+        results: results.into_iter().map(|r| r.expect("every item is filled")).collect(),
+        served: items.len() - cold.len(),
+        simulated: cold.len(),
     }
 }
 
@@ -447,7 +447,7 @@ pub fn suite_points(points: &[(SimConfig, Suite)]) -> Vec<(SimConfig, Suite, Vec
 ///
 /// Prints one `cache: served N, simulated M` summary line. With
 /// `CARF_CACHE_REQUIRE_WARM` set, exits 3 if any point simulated.
-pub fn run_matrix_cached(points: &[(SimConfig, Suite)], budget: &Budget) -> MatrixOutcome {
+pub fn run_matrix_cached(points: &[(SimConfig, Suite)], budget: &Budget) -> Outcome<SuiteResult> {
     run_custom_cached(&suite_points(points), budget)
 }
 
@@ -458,107 +458,78 @@ pub fn run_matrix_cached(points: &[(SimConfig, Suite)], budget: &Budget) -> Matr
 pub fn run_custom_cached(
     points: &[(SimConfig, Suite, Vec<Workload>)],
     budget: &Budget,
-) -> MatrixOutcome {
-    let cache = ResultCache::from_env();
-    let outcome = run_custom_with_cache(points, budget, cache.as_ref());
-    println!("{}", outcome.summary());
-    if outcome.simulated > 0 && require_warm() {
-        fail_cold(outcome.simulated);
-    }
-    outcome
+) -> Outcome<SuiteResult> {
+    announced(|cache| run_custom_with_cache(points, budget, cache))
 }
 
 /// [`run_custom_cached`] against an explicit cache (`None` = bypass),
 /// without printing or warm enforcement: the one function that runs every
 /// matrix. Workloads are addressed by [`workload_identity`], so
 /// fixed-program (corpus) points key on program content, not just name.
-/// The stored points reach `index.json` in one merge.
 pub fn run_custom_with_cache(
     points: &[(SimConfig, Suite, Vec<Workload>)],
     budget: &Budget,
     cache: Option<&ResultCache>,
-) -> MatrixOutcome {
-    parallel::note_run_start();
-    let mut flat: Vec<(usize, Suite, &Workload)> = Vec::new();
-    for (pi, (_, suite, workloads)) in points.iter().enumerate() {
-        for w in workloads {
-            flat.push((pi, *suite, w));
-        }
-    }
-
-    // Partition into served and to-simulate without losing the flat order.
-    let mut runs: Vec<Option<(String, SimStats)>> = Vec::with_capacity(flat.len());
-    let mut cold: Vec<usize> = Vec::new();
-    for (fi, (pi, suite, w)) in flat.iter().enumerate() {
-        let hit = cache.and_then(|c| {
-            c.load_point(point_key(&points[*pi].0, *suite, &workload_identity(w), budget))
-        });
-        match hit {
-            Some(stats) => runs.push(Some((w.name.to_string(), stats))),
-            None => {
-                runs.push(None);
-                cold.push(fi);
-            }
-        }
-    }
-
-    let simulated = cold.len();
-    let served = flat.len() - simulated;
-    let fresh = parallel::run_ordered(&cold, budget.jobs, |fi| {
-        let (pi, suite, w) = &flat[*fi];
-        crate::run_workload_timed(&points[*pi].0, *suite, w, budget)
-    });
-    let mut rows = Vec::new();
-    for (fi, run) in cold.iter().zip(fresh) {
-        let (pi, suite, w) = &flat[*fi];
-        if let Some(c) = cache {
-            let (config, identity) = (&points[*pi].0, workload_identity(w));
-            let key = point_key(config, *suite, &identity, budget);
-            let label = format!("{suite:?}/{identity}");
-            rows.extend(c.write_entry(key, point_entry(key, &label, config, budget, &run.1)));
-        }
-        runs[*fi] = Some(run);
-    }
-    if let Some(c) = cache {
-        c.index(rows);
-    }
-
-    let mut results: Vec<SuiteResult> = points
+) -> Outcome<SuiteResult> {
+    let flat: Vec<(&SimConfig, Suite, &Workload)> = points
         .iter()
-        .map(|(_, suite, _)| SuiteResult { suite: *suite, runs: Vec::new() })
+        .flat_map(|(config, suite, workloads)| workloads.iter().map(move |w| (config, *suite, w)))
         .collect();
-    for ((pi, _, _), run) in flat.iter().zip(runs) {
-        results[*pi].runs.push(run.expect("every flat slot is filled"));
-    }
-    MatrixOutcome { results, served, simulated }
+    let runs = cached(
+        &flat,
+        budget,
+        cache,
+        |&(config, suite, w)| point_key(config, suite, &workload_identity(w), budget),
+        |c, key, &(_, _, w)| Some((w.name.to_string(), c.load_point(key)?)),
+        |&(config, suite, w)| crate::run_workload_timed(config, suite, w, budget),
+        |key, &(config, suite, w), (_, stats)| {
+            let label = format!("{suite:?}/{}", workload_identity(w));
+            point_entry(key, &label, config, budget, stats)
+        },
+    );
+    let mut flat_runs = runs.results.into_iter();
+    let results = points
+        .iter()
+        .map(|(_, suite, workloads)| SuiteResult {
+            suite: *suite,
+            runs: flat_runs.by_ref().take(workloads.len()).collect(),
+        })
+        .collect();
+    Outcome { results, served: runs.served, simulated: runs.simulated }
 }
 
-/// A cached named derived scalar: served bit-exactly from the store when
-/// present, otherwise computed by `compute` and stored. Honors
-/// `CARF_CACHE` and `CARF_CACHE_REQUIRE_WARM` like [`run_matrix_cached`].
-/// Returns the value and its provenance.
-pub fn cached_derived_f64(
+/// A named derived scalar (e.g. a traced stall share) of each
+/// configuration, in input order: served bit-exactly from the store when
+/// present, otherwise computed by `compute` over the worker pool and
+/// stored under its [`derived_key`]. Prints the cache summary line and
+/// enforces `CARF_CACHE_REQUIRE_WARM` like [`run_matrix_cached`].
+pub fn run_derived_cached(
     tag: &str,
-    config: &SimConfig,
+    configs: &[SimConfig],
     budget: &Budget,
-    compute: impl FnOnce() -> f64,
-) -> (f64, CacheStatus) {
-    let Some(cache) = ResultCache::from_env() else {
-        if require_warm() {
-            fail_cold(1);
-        }
-        return (compute(), CacheStatus::Bypass);
-    };
-    let key = derived_key(tag, config, budget);
-    if let Some(v) = cache.load_derived(key) {
-        return (v, CacheStatus::Hit);
-    }
-    if require_warm() {
-        fail_cold(1);
-    }
-    let v = compute();
-    cache.store_derived(key, tag, config, budget, v);
-    (v, CacheStatus::Miss)
+    compute: impl Fn(&SimConfig) -> f64 + Sync,
+) -> Outcome<f64> {
+    announced(|cache| run_derived_with_cache(tag, configs, budget, cache, compute))
+}
+
+/// [`run_derived_cached`] against an explicit cache, without printing or
+/// warm enforcement.
+fn run_derived_with_cache(
+    tag: &str,
+    configs: &[SimConfig],
+    budget: &Budget,
+    cache: Option<&ResultCache>,
+    compute: impl Fn(&SimConfig) -> f64 + Sync,
+) -> Outcome<f64> {
+    cached(
+        configs,
+        budget,
+        cache,
+        |config| derived_key(tag, config, budget),
+        |c, key, _| c.load_derived(key),
+        compute,
+        |key, config, value| derived_entry(key, tag, config, budget, *value),
+    )
 }
 
 // ---------------------------------------------------------------------
@@ -577,7 +548,7 @@ pub const MULTI_CODEC_VERSION: u32 = 1;
 /// swapping two contexts is a different experiment.
 #[derive(Debug)]
 pub struct MultiPoint {
-    /// Human-readable label for tables and the cache index.
+    /// Human-readable label for tables and the cache entry.
     pub label: String,
     /// The contexts, in arbitration order.
     pub contexts: Vec<(SimConfig, Workload)>,
@@ -662,31 +633,8 @@ pub fn multi_key(point: &MultiPoint, budget: &Budget) -> u128 {
     fnv128(&multi_key_text(point, budget))
 }
 
-impl ResultCache {
-    /// Looks up a multi-context point: the per-context records, in
-    /// context order. Unreadable or malformed entries are misses.
-    pub fn load_multi(&self, key: u128) -> Option<Vec<MultiThreadRecord>> {
-        let entry = self.load_entry(key)?;
-        let threads: Option<Vec<MultiThreadRecord>> =
-            entry.get("threads")?.as_str()?.split(',').map(MultiThreadRecord::unpack).collect();
-        threads.filter(|t| !t.is_empty())
-    }
-
-    /// Stores a multi-context point (indexed under the first context's
-    /// configuration — the index is a human-readable ledger, not the
-    /// identity; the key already covers every context).
-    pub fn store_multi(
-        &self,
-        key: u128,
-        point: &MultiPoint,
-        budget: &Budget,
-        threads: &[MultiThreadRecord],
-    ) {
-        self.commit_entry(key, multi_entry(key, point, budget, threads));
-    }
-}
-
-/// A multi-context point's entry: the packed per-context records.
+/// A multi-context point's entry: the packed per-context records, under
+/// the first context's configuration (the key covers every context).
 fn multi_entry(
     key: u128,
     point: &MultiPoint,
@@ -700,25 +648,6 @@ fn multi_entry(
     entry(key, "multi", &point.label, policy, config, budget, threads)
 }
 
-/// The result of a cached multi-context run: per-point, per-context
-/// records (input order) plus the cache ledger.
-#[derive(Debug)]
-pub struct MultiOutcome {
-    /// One record vector per input point, one record per context.
-    pub results: Vec<Vec<MultiThreadRecord>>,
-    /// Co-simulations served from the cache.
-    pub served: usize,
-    /// Co-simulations that had to run.
-    pub simulated: usize,
-}
-
-impl MultiOutcome {
-    /// One summary line for experiment headers and CI greps.
-    pub fn summary(&self) -> String {
-        format!("cache: served {}, simulated {}", self.served, self.simulated)
-    }
-}
-
 /// Runs multi-context points behind the content-addressed cache: cold
 /// points co-simulate over the worker pool (each co-simulation is one
 /// work item — its contexts are lockstep-coupled and cannot split),
@@ -729,83 +658,52 @@ impl MultiOutcome {
 /// Interval sampling does not apply to lockstep co-simulation;
 /// `budget.sample` is ignored here (it still participates in the key
 /// through the canonical budget, like every budget field).
-pub fn run_multi_cached(points: &[MultiPoint], budget: &Budget) -> MultiOutcome {
-    let cache = ResultCache::from_env();
-    let outcome = run_multi_with_cache(points, budget, cache.as_ref());
-    println!("{}", outcome.summary());
-    if outcome.simulated > 0 && require_warm() {
-        fail_cold(outcome.simulated);
-    }
-    outcome
+pub fn run_multi_cached(points: &[MultiPoint], budget: &Budget) -> Outcome<Vec<MultiThreadRecord>> {
+    announced(|cache| run_multi_with_cache(points, budget, cache))
 }
 
 /// [`run_multi_cached`] against an explicit cache (`None` = bypass),
-/// without printing or warm enforcement.
+/// without printing or warm enforcement. A stored entry with another
+/// number of contexts than the point is a miss.
 pub fn run_multi_with_cache(
     points: &[MultiPoint],
     budget: &Budget,
     cache: Option<&ResultCache>,
-) -> MultiOutcome {
-    parallel::note_run_start();
-    let mut results: Vec<Option<Vec<MultiThreadRecord>>> = Vec::with_capacity(points.len());
-    let mut cold: Vec<usize> = Vec::new();
-    for (pi, point) in points.iter().enumerate() {
-        match cache.and_then(|c| c.load_multi(multi_key(point, budget))) {
-            Some(threads) if threads.len() == point.contexts.len() => {
-                results.push(Some(threads));
-            }
-            _ => {
-                results.push(None);
-                cold.push(pi);
-            }
-        }
-    }
+) -> Outcome<Vec<MultiThreadRecord>> {
+    cached(
+        points,
+        budget,
+        cache,
+        |point| multi_key(point, budget),
+        |c, key, point| c.load_multi(key).filter(|t| t.len() == point.contexts.len()),
+        |point| co_simulate(point, budget),
+        |key, point, threads| multi_entry(key, point, budget, threads),
+    )
+}
 
-    let simulated = cold.len();
-    let served = points.len() - simulated;
-    let fresh = parallel::run_ordered(&cold, budget.jobs, |pi| {
-        let point = &points[*pi];
-        let programs: Vec<_> = point
-            .contexts
-            .iter()
-            .map(|(_, w)| w.build(w.size(budget.size)))
-            .collect();
-        let contexts: Vec<_> = point
-            .contexts
-            .iter()
-            .zip(&programs)
-            .map(|((config, _), program)| (config.clone(), program))
-            .collect();
-        let mut multi = MultiSim::new(contexts, point.policy)
-            .unwrap_or_else(|e| panic!("{}: {e}", point.label));
-        let run = multi
-            .run(point.max_cycles, point.per_thread_insts)
-            .unwrap_or_else(|e| panic!("{}: {e}", point.label));
-        run.into_iter()
-            .map(|r| MultiThreadRecord {
-                committed: r.committed,
-                cycles: r.cycles,
-                long_guard_stall_cycles: r.long_guard_stall_cycles,
-            })
-            .collect::<Vec<_>>()
-    });
-    let mut rows = Vec::new();
-    for (pi, threads) in cold.iter().zip(fresh) {
-        if let Some(c) = cache {
-            let key = multi_key(&points[*pi], budget);
-            rows.extend(c.write_entry(key, multi_entry(key, &points[*pi], budget, &threads)));
-        }
-        results[*pi] = Some(threads);
-    }
-    if let Some(c) = cache {
-        c.index(rows);
-    }
-
-    MultiOutcome {
-        results: results.into_iter().map(|r| r.expect("every point is filled")).collect(),
-        served,
-        simulated,
-    }
+/// One co-simulation: every context's program built at the budget's size,
+/// run in lockstep to the point's quotas.
+fn co_simulate(point: &MultiPoint, budget: &Budget) -> Vec<MultiThreadRecord> {
+    let programs: Vec<_> =
+        point.contexts.iter().map(|(_, w)| w.build(w.size(budget.size))).collect();
+    let contexts: Vec<_> = point
+        .contexts
+        .iter()
+        .zip(&programs)
+        .map(|((config, _), program)| (config.clone(), program))
+        .collect();
+    let mut multi =
+        MultiSim::new(contexts, point.policy).unwrap_or_else(|e| panic!("{}: {e}", point.label));
+    let run = multi
+        .run(point.max_cycles, point.per_thread_insts)
+        .unwrap_or_else(|e| panic!("{}: {e}", point.label));
+    run.into_iter()
+        .map(|r| MultiThreadRecord {
+            committed: r.committed,
+            cycles: r.cycles,
+            long_guard_stall_cycles: r.long_guard_stall_cycles,
+        })
+        .collect()
 }
 
 #[cfg(test)]
@@ -818,6 +716,15 @@ mod tests {
             .join(format!("carf-cache-{tag}-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         ResultCache::at(dir)
+    }
+
+    /// Test-sized workloads, 5k instructions, one worker.
+    fn tiny_budget() -> Budget {
+        let mut budget = Budget::quick();
+        budget.size = SizeClass::Test;
+        budget.max_insts = 5_000;
+        budget.jobs = 1;
+        budget
     }
 
     #[test]
@@ -899,10 +806,11 @@ mod tests {
         let back = cache.load_point(key).expect("warm cache hits");
         assert_eq!(back, stats);
         assert_eq!(back.long_mean_live.to_bits(), stats.long_mean_live.to_bits());
-        // The index knows the entry.
-        let index = std::fs::read_to_string(cache.index_path()).unwrap();
-        assert!(index.contains(&format!("{key:032x}")), "{index}");
-        assert!(index.contains("Int/tridiag"));
+        // The entry names itself.
+        let text = std::fs::read_to_string(cache.entry_path(key)).unwrap();
+        let head = format!("{{\"key\":\"{key:032x}\",\"kind\":\"point\",");
+        assert!(text.starts_with(&head), "{text}");
+        assert!(text.contains("\"point\":\"Int/tridiag\""), "{text}");
         let _ = std::fs::remove_dir_all(cache.dir());
     }
 
@@ -914,7 +822,7 @@ mod tests {
         let key = derived_key("stall_share", &cfg, &budget);
         assert!(cache.load_derived(key).is_none());
         let v = 0.123_456_789_f64;
-        cache.store_derived(key, "stall_share", &cfg, &budget, v);
+        cache.store(key, &derived_entry(key, "stall_share", &cfg, &budget, v));
         assert_eq!(cache.load_derived(key).map(f64::to_bits), Some(v.to_bits()));
         // A different tag is a different address.
         assert_ne!(key, derived_key("other", &cfg, &budget));
@@ -960,50 +868,87 @@ mod tests {
         let (cfg, budget) = (SimConfig::test_small(), Budget::quick());
         let stats = SimStats { cycles: 11, long_mean_live: 0.1 + 0.2, ..SimStats::default() };
         cache.store_point(1, "Int/\"odd\\name\"", &cfg, &budget, &stats);
-        cache.store_derived(2, "stall_share", &cfg, &budget, 0.25);
+        cache.store(2, &derived_entry(2, "stall_share", &cfg, &budget, 0.25));
         let point = multi_point(["pointer_chase", "hash_table"], SharingPolicy::shared_long(48));
         let record = MultiThreadRecord { committed: 1, cycles: 2, long_guard_stall_cycles: 3 };
-        cache.store_multi(3, &point, &budget, &[record, record]);
+        cache.store(3, &multi_entry(3, &point, &budget, &[record, record]));
         for key in [1, 2, 3] {
             let text = std::fs::read_to_string(cache.entry_path(key)).unwrap();
             let entry = json::parse(&text).unwrap();
             assert_eq!(format!("{entry}\n"), text);
         }
-        let index = std::fs::read_to_string(cache.index_path()).unwrap();
-        assert_eq!(json::render_records(&json::parse_records(&index).unwrap()), index);
         let _ = std::fs::remove_dir_all(cache.dir());
+    }
+
+    /// Runs `run` once, rewrites the entry at `key` with `damage`, and
+    /// checks that the next run re-simulates the item into the same result
+    /// and the same entry bytes, and that the run after serves it.
+    fn a_damaged_entry_re_simulates<T: PartialEq + std::fmt::Debug>(
+        cache: &ResultCache,
+        key: u128,
+        run: impl Fn() -> Outcome<T>,
+        damage: impl Fn(&str) -> String,
+    ) {
+        let first = run();
+        assert_eq!(first.served + first.simulated, 1);
+        let path = cache.entry_path(key);
+        let text = std::fs::read_to_string(&path).unwrap();
+        std::fs::write(&path, damage(&text)).unwrap();
+        let rerun = run();
+        assert_eq!((rerun.served, rerun.simulated), (0, 1));
+        assert_eq!(rerun.results, first.results);
+        assert_eq!(std::fs::read_to_string(&path).unwrap(), text, "the entry is stored again");
+        let warm = run();
+        assert_eq!((warm.served, warm.simulated), (1, 0));
+        assert_eq!(warm.results, first.results);
     }
 
     #[test]
     fn a_truncated_entry_is_a_miss_that_re_simulates_and_re_stores() {
         let cache = temp_cache("truncated");
-        let mut budget = Budget::quick();
-        budget.size = SizeClass::Test;
-        budget.max_insts = 5_000;
-        budget.jobs = 1;
+        let budget = tiny_budget();
+        let truncate = |text: &str| text[..text.len() / 2].to_string();
+
         let w = carf_workloads::int_suite().remove(0);
         let points = vec![(SimConfig::test_small(), Suite::Int, vec![w])];
-        let cold = run_custom_with_cache(&points, &budget, Some(&cache));
-        assert_eq!((cold.served, cold.simulated), (0, 1));
         let key = point_key(&points[0].0, Suite::Int, &workload_identity(&points[0].2[0]), &budget);
-        let path = cache.entry_path(key);
-        let text = std::fs::read_to_string(&path).unwrap();
-        std::fs::write(&path, &text[..text.len() / 2]).unwrap();
-        let rerun = run_custom_with_cache(&points, &budget, Some(&cache));
-        assert_eq!((rerun.served, rerun.simulated), (0, 1));
-        assert_eq!(rerun.results[0].runs, cold.results[0].runs);
-        assert_eq!(std::fs::read_to_string(&path).unwrap(), text, "the entry is stored again");
-        let warm = run_custom_with_cache(&points, &budget, Some(&cache));
-        assert_eq!((warm.served, warm.simulated), (1, 0));
+        let runs = || {
+            let outcome = run_custom_with_cache(&points, &budget, Some(&cache));
+            let results = outcome.results.into_iter().map(|r| r.runs).collect();
+            Outcome { results, served: outcome.served, simulated: outcome.simulated }
+        };
+        a_damaged_entry_re_simulates(&cache, key, runs, truncate);
+
+        let pair = ["pointer_chase", "hash_table"];
+        let multi = vec![multi_point(pair, SharingPolicy::shared_long(48))];
+        let key = multi_key(&multi[0], &budget);
+        let run = || run_multi_with_cache(&multi, &budget, Some(&cache));
+        a_damaged_entry_re_simulates(&cache, key, run, truncate);
+        // An entry with one context's record where the point has two.
+        let one_thread = |text: &str| {
+            let threads = cache.load_multi(key).unwrap();
+            let packed = |t: &[MultiThreadRecord]| {
+                t.iter().map(MultiThreadRecord::pack).collect::<Vec<_>>().join(",")
+            };
+            text.replace(&packed(&threads), &packed(&threads[..1]))
+        };
+        a_damaged_entry_re_simulates(&cache, key, run, one_thread);
+
+        let configs = [SimConfig::test_small()];
+        let key = derived_key("rob_third", &configs[0], &budget);
+        let run = || {
+            run_derived_with_cache("rob_third", &configs, &budget, Some(&cache), |c| {
+                c.rob_size as f64 / 3.0
+            })
+        };
+        a_damaged_entry_re_simulates(&cache, key, run, truncate);
         let _ = std::fs::remove_dir_all(cache.dir());
     }
 
     #[test]
     fn an_entry_serves_any_point_list_that_names_it() {
         let cache = temp_cache("any-list");
-        let mut budget = Budget::quick();
-        budget.size = SizeClass::Test;
-        budget.max_insts = 5_000;
+        let mut budget = tiny_budget();
         budget.jobs = 2;
         let (base, carf) =
             (SimConfig::test_small(), SimConfig::paper_carf(CarfParams::with_dn(12)));
@@ -1041,43 +986,35 @@ mod tests {
     }
 
     #[test]
-    fn a_run_indexes_its_entries_as_storing_each_alone_would() {
+    fn a_run_stores_the_bytes_that_storing_each_point_alone_would() {
         let (batched, single) = (temp_cache("batched"), temp_cache("single"));
-        let mut budget = Budget::quick();
-        budget.size = SizeClass::Test;
-        budget.max_insts = 5_000;
-        budget.jobs = 1;
+        let budget = tiny_budget();
         let config = SimConfig::test_small();
         let int: Vec<Workload> = carf_workloads::int_suite().into_iter().take(2).collect();
         let fp: Vec<Workload> = carf_workloads::fp_suite().into_iter().take(1).collect();
         let points = vec![(config.clone(), Suite::Int, int), (config.clone(), Suite::Fp, fp)];
         let run = run_custom_with_cache(&points, &budget, Some(&batched));
+        let mut keys = Vec::new();
         for ((_, suite, workloads), result) in points.iter().zip(&run.results) {
             for (w, (_, stats)) in workloads.iter().zip(&result.runs) {
                 let key = point_key(&config, *suite, &workload_identity(w), &budget);
                 single.store_point(key, &format!("{suite:?}/{}", w.name), &config, &budget, stats);
+                keys.push(key);
             }
         }
-        let index = |c: &ResultCache| std::fs::read_to_string(c.index_path()).unwrap();
-        assert_eq!(index(&batched), index(&single));
-        assert_eq!(json::parse_records(&index(&batched)).unwrap().len(), 3);
+        assert_eq!(keys.len(), 3);
+        for key in keys {
+            let entry = |c: &ResultCache| std::fs::read(c.entry_path(key)).unwrap();
+            assert_eq!(entry(&batched), entry(&single));
+        }
+        // The cache holds shard directories and nothing else.
+        for cache in [&batched, &single] {
+            for e in std::fs::read_dir(cache.dir()).unwrap() {
+                assert!(e.unwrap().path().is_dir());
+            }
+        }
         let _ = std::fs::remove_dir_all(batched.dir());
         let _ = std::fs::remove_dir_all(single.dir());
-    }
-
-    #[test]
-    fn a_corrupt_index_leaves_entries_stored_and_served() {
-        let cache = temp_cache("corrupt-index");
-        let (cfg, budget) = (SimConfig::test_small(), Budget::quick());
-        std::fs::create_dir_all(cache.dir()).unwrap();
-        let garbage = "[\n{\"key\":\"00\",";
-        std::fs::write(cache.index_path(), garbage).unwrap();
-        let stats = SimStats { cycles: 5, ..SimStats::default() };
-        // The index update fails with a warning on stderr; the entry lands.
-        cache.store_point(9, "Int/a", &cfg, &budget, &stats);
-        assert_eq!(cache.load_point(9), Some(stats));
-        assert_eq!(std::fs::read_to_string(cache.index_path()).unwrap(), garbage);
-        let _ = std::fs::remove_dir_all(cache.dir());
     }
 
     #[test]
@@ -1154,13 +1091,13 @@ mod tests {
             MultiThreadRecord { committed: 3_000, cycles: 4_321, long_guard_stall_cycles: 17 },
             MultiThreadRecord { committed: 3_000, cycles: 5_000, long_guard_stall_cycles: 0 },
         ];
-        cache.store_multi(key, &point, &budget, &threads);
+        cache.store(key, &multi_entry(key, &point, &budget, &threads));
         let back = cache.load_multi(key).expect("warm cache hits");
         assert_eq!(back, threads);
         // The derived IPC is the same division on the same integers.
         assert_eq!(back[0].ipc().to_bits(), (3_000f64 / 4_321f64).to_bits());
-        let index = std::fs::read_to_string(cache.index_path()).unwrap();
-        assert!(index.contains("pointer_chase+hash_table"), "{index}");
+        let text = std::fs::read_to_string(cache.entry_path(key)).unwrap();
+        assert!(text.contains("\"point\":\"pointer_chase+hash_table\""), "{text}");
         let _ = std::fs::remove_dir_all(cache.dir());
     }
 

@@ -10,13 +10,14 @@
 //! * strict rejection of unrecognized flags and stray operands;
 //! * a generated usage message (also served by `-h`/`--help`) listing the
 //!   budget flags ahead of the binary's own options;
-//! * the fold of the budget flags into a [`Budget`] via
-//!   [`Budget::parse_args`].
+//! * the fold of the budget flags (`--quick`, `--full`, `--jobs N`,
+//!   `--sample[=I/P/W]`) into a [`Budget`], in the same scan.
 //!
 //! Binaries with no extra options call [`budget_for`]; the richer ones
 //! (`carf-as`, `carf-trace`) build a [`CliSpec`] and interpret the
 //! returned occurrences.
 
+use crate::sample::SampleSpec;
 use crate::Budget;
 use carf_core::{CarfParams, PortReducedParams};
 use carf_sim::SimConfig;
@@ -223,25 +224,31 @@ impl CliSpec {
     }
 
     /// [`CliSpec::parse`] on an explicit argument list, without exiting.
+    /// `Err` describes the first bad argument.
     pub fn parse_from<I: IntoIterator<Item = String>>(&self, args: I) -> Result<ParsedCli, CliError> {
         let bad = |msg: String| Err(CliError::Bad(msg));
-        let mut budget_args: Vec<String> = Vec::new();
+        let positive = |v: &str| v.parse::<usize>().ok().filter(|n| *n >= 1);
+        let (mut full, mut jobs, mut sample) = (false, None, None);
         let mut options: Vec<(&'static str, String)> = Vec::new();
         let mut operands: Vec<String> = Vec::new();
         let mut args = args.into_iter();
         while let Some(arg) = args.next() {
             match arg.as_str() {
                 "-h" | "--help" => return Err(CliError::Help),
-                "--quick" | "--full" | "--sample" => budget_args.push(arg),
-                "--jobs" => {
-                    budget_args.push(arg);
-                    match args.next() {
-                        Some(v) => budget_args.push(v),
-                        None => return bad("`--jobs` expects a positive integer".into()),
-                    }
-                }
-                s if s.starts_with("--jobs=") || s.starts_with("--sample=") => {
-                    budget_args.push(arg.clone());
+                "--quick" => full = false,
+                "--full" => full = true,
+                "--sample" => sample = Some(SampleSpec::default()),
+                "--jobs" => match args.next().as_deref().and_then(positive) {
+                    Some(n) => jobs = Some(n),
+                    None => return bad("`--jobs` expects a positive integer".into()),
+                },
+                s if s.starts_with("--jobs=") => match positive(&s["--jobs=".len()..]) {
+                    Some(n) => jobs = Some(n),
+                    None => return bad(format!("`{s}` expects a positive integer")),
+                },
+                s if s.starts_with("--sample=") => {
+                    let spec = SampleSpec::parse(&s["--sample=".len()..]).map_err(CliError::Bad)?;
+                    sample = Some(spec);
                 }
                 s if s.starts_with("--") => {
                     let (name, inline) = match s.find('=') {
@@ -275,7 +282,11 @@ impl CliSpec {
                 }
             }
         }
-        let budget = Budget::parse_args(budget_args).map_err(CliError::Bad)?;
+        let mut budget = if full { Budget::full() } else { Budget::quick() };
+        if let Some(n) = jobs {
+            budget.jobs = n;
+        }
+        budget.sample = sample;
         Ok(ParsedCli { budget, options, operands })
     }
 }

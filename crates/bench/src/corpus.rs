@@ -9,6 +9,11 @@
 //! [`Workload`] (see [`Workload::from_program`]) that rides the standard
 //! matrix/cache/sampling paths.
 //!
+//! Figs. 1 and 2 share their `--corpus` pipeline here: the options
+//! ([`CORPUS_OPTIONS`]), the uncached value-oracle runs ([`oracle_suites`],
+//! [`oracle_corpus`]) and the `corpus_demographics.json` record
+//! ([`write_demographics`]).
+//!
 //! # Layout convention
 //!
 //! [`discover`] accepts a file or a directory:
@@ -25,7 +30,11 @@
 //! units link in filename order (deterministic layout); the entry is the
 //! exported `_start` unless overridden.
 
+use crate::cli::{OptSpec, ParsedCli};
+use crate::json::Value;
+use crate::{parallel, run_custom_with_cache, suite_points, Budget, SuiteResult};
 use carf_isa::{link_with_entry, parse_object, LinkError, ObjectUnit, Program, SourceDiag};
+use carf_sim::SimConfig;
 use carf_workloads::{Suite, Workload};
 use std::path::{Path, PathBuf};
 
@@ -188,14 +197,74 @@ pub fn workloads(dir: &Path, suite: Suite) -> Result<Vec<Workload>, CorpusError>
     Ok(discover(dir, None)?.iter().map(|p| p.to_workload(suite)).collect())
 }
 
-/// Interprets the shared `--corpus` / `--corpus-dir DIR` options of a
-/// figure binary: `Some(root)` when corpus mode is requested (an explicit
-/// directory implies it), `None` otherwise.
-pub fn corpus_root(parsed: &crate::cli::ParsedCli) -> Option<PathBuf> {
+/// The `--corpus` and `--corpus-dir DIR` options of Figs. 1 and 2.
+pub const CORPUS_OPTIONS: &[OptSpec] = &[
+    OptSpec {
+        name: "--corpus",
+        value: None,
+        help: "also run the real-program corpus; report the synthetic-vs-real delta",
+    },
+    OptSpec {
+        name: "--corpus-dir",
+        value: Some("DIR"),
+        help: "corpus root (default: corpus/; implies --corpus)",
+    },
+];
+
+/// Interprets [`CORPUS_OPTIONS`]: `Some(root)` when corpus mode is
+/// requested (an explicit directory implies it), `None` otherwise.
+fn corpus_root(parsed: &ParsedCli) -> Option<PathBuf> {
     match parsed.option("--corpus-dir") {
         Some(dir) => Some(PathBuf::from(dir)),
         None => parsed.option("--corpus").map(|_| default_corpus_dir()),
     }
+}
+
+/// The machine Figs. 1 and 2 observe: the paper baseline with the value
+/// oracle sampling every `budget.oracle_period` cycles.
+fn oracle_config(budget: &Budget) -> SimConfig {
+    let mut cfg = SimConfig::paper_baseline();
+    cfg.oracle_period = Some(budget.oracle_period);
+    cfg
+}
+
+/// The INT and FP suites, in that order, under the value oracle.
+/// Uncached: no other binary stores oracle points.
+pub fn oracle_suites(budget: &Budget) -> Vec<SuiteResult> {
+    let cfg = oracle_config(budget);
+    let points = suite_points(&[(cfg.clone(), Suite::Int), (cfg, Suite::Fp)]);
+    run_custom_with_cache(&points, budget, None).results
+}
+
+/// Every corpus program under the value oracle, uncached, when
+/// [`CORPUS_OPTIONS`] ask for it; `None` otherwise. A corpus that does
+/// not load prints `error: …` and exits 1.
+pub fn oracle_corpus(parsed: &ParsedCli, budget: &Budget) -> Option<SuiteResult> {
+    let root = corpus_root(parsed)?;
+    let workloads = workloads(&root, Suite::Int).unwrap_or_else(|e| {
+        eprintln!("error: {e}");
+        std::process::exit(1);
+    });
+    let points = [(oracle_config(budget), Suite::Int, workloads)];
+    run_custom_with_cache(&points, budget, None).results.pop()
+}
+
+/// Group fractions as a JSON array of six-decimal numbers.
+pub fn json_fractions(f: &[f64]) -> Value {
+    f.iter().map(|x| Value::fixed(*x, 6)).collect()
+}
+
+/// Merges a figure's synthetic-vs-corpus `record` into
+/// `corpus_demographics.json` (one per figure and budget) and prints
+/// where it went; a failed write exits 1.
+pub fn write_demographics(record: Value) {
+    let path = parallel::exit_on_write_error(parallel::write_records(
+        "corpus_demographics.json",
+        vec![record],
+        &["figure", "budget"],
+        1,
+    ));
+    println!("\ncorpus demographics -> {}", path.display());
 }
 
 #[cfg(test)]

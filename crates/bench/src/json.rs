@@ -10,7 +10,8 @@
 //! * The one writer (`Display`) is compact. Strings escape `"` and `\`
 //!   with a backslash and other characters below U+0020 as `\u00xx`.
 //! * [`update_records`] maintains the files holding a JSON array with one
-//!   record per line (`results/*.json`, the cache's `index.json`).
+//!   record per line (`results/*.json`). Cache entries are single
+//!   compact documents, one per file, and need no merging.
 
 use crate::fsio::{atomic_write, FileLock};
 use std::fmt::{self, Write as _};

@@ -39,8 +39,7 @@ pub mod trace;
 
 pub use cache::{
     run_custom_cached, run_custom_with_cache, run_matrix_cached, run_multi_cached, suite_points,
-    workload_identity, CacheStatus, MatrixOutcome, MultiOutcome, MultiPoint, MultiThreadRecord,
-    ResultCache,
+    workload_identity, MultiPoint, MultiThreadRecord, Outcome, ResultCache,
 };
 pub use parallel::{results_dir, run_ordered, write_records, write_timing_json};
 
@@ -110,45 +109,6 @@ impl Budget {
             jobs: default_jobs(),
             sample: None,
         }
-    }
-
-    /// Parses the budget flags `--quick` (default), `--full`, `--jobs N`
-    /// and `--sample[=I/P/W]`; `Err` describes the first bad argument.
-    /// Binaries call it through [`cli::budget_for`] or a [`cli::CliSpec`].
-    pub fn parse_args<I: IntoIterator<Item = String>>(args: I) -> Result<Self, String> {
-        let mut full = false;
-        let mut jobs: Option<usize> = None;
-        let mut sample: Option<sample::SampleSpec> = None;
-        let mut args = args.into_iter();
-        while let Some(arg) = args.next() {
-            match arg.as_str() {
-                "--full" => full = true,
-                "--quick" => full = false,
-                "--sample" => sample = Some(sample::SampleSpec::default()),
-                "--jobs" => match args.next().and_then(|v| v.parse::<usize>().ok()) {
-                    Some(n) if n >= 1 => jobs = Some(n),
-                    _ => return Err("`--jobs` expects a positive integer".into()),
-                },
-                s => {
-                    if let Some(v) = s.strip_prefix("--jobs=") {
-                        match v.parse::<usize>() {
-                            Ok(n) if n >= 1 => jobs = Some(n),
-                            _ => return Err(format!("`{s}` expects a positive integer")),
-                        }
-                    } else if let Some(v) = s.strip_prefix("--sample=") {
-                        sample = Some(sample::SampleSpec::parse(v)?);
-                    } else {
-                        return Err(format!("unrecognized argument `{arg}`"));
-                    }
-                }
-            }
-        }
-        let mut budget = if full { Self::full() } else { Self::quick() };
-        if let Some(n) = jobs {
-            budget.jobs = n;
-        }
-        budget.sample = sample;
-        Ok(budget)
     }
 
     /// A short human-readable tag for report headers.
@@ -660,14 +620,15 @@ mod tests {
 
     #[test]
     fn budget_arg_parsing() {
-        let ok = |args: &[&str]| {
-            Budget::parse_args(args.iter().map(|s| s.to_string())).expect("valid args")
+        let parse = |args: &[&str]| {
+            cli::CliSpec::budget_only("test").parse_from(args.iter().map(|s| s.to_string()))
         };
+        let ok = |args: &[&str]| parse(args).expect("valid args").budget;
         assert_eq!(ok(&["--quick"]).label(), "quick");
         assert_eq!(ok(&["--full"]).label(), "full");
         assert_eq!(ok(&["--jobs", "3"]).jobs, 3);
         assert_eq!(ok(&["--jobs=5", "--full"]).jobs, 5);
-        assert!(Budget::parse_args(["--jobs".to_string(), "0".to_string()]).is_err());
-        assert!(Budget::parse_args(["--bogus".to_string()]).is_err());
+        assert!(parse(&["--jobs", "0"]).is_err());
+        assert!(parse(&["--bogus"]).is_err());
     }
 }

@@ -132,11 +132,6 @@ impl MemoryHierarchy {
         self.dl1_ports.try_acquire()
     }
 
-    /// DL1 ports still free this cycle.
-    pub fn dl1_ports_available(&self) -> u32 {
-        self.dl1_ports.available()
-    }
-
     /// Latency of an L2 access at `addr` (including DRAM on miss), also
     /// absorbing any dirty victim from L1.
     fn l2_access(&mut self, addr: u64, is_write: bool) -> u32 {
@@ -189,12 +184,6 @@ impl MemoryHierarchy {
         }
         self.absorb_l1_victim(state);
         latency
-    }
-
-    /// Returns `true` if the data line containing `addr` is in DL1 (no side
-    /// effects).
-    pub fn dl1_probe(&self, addr: u64) -> bool {
-        self.dl1.probe(addr)
     }
 
     /// Aggregated hit/miss statistics.

@@ -98,11 +98,6 @@ impl SparseMemory {
         u16::from_le_bytes(buf)
     }
 
-    /// Writes a little-endian `u16`.
-    pub fn write_u16(&mut self, addr: u64, value: u16) {
-        self.write_bytes(addr, &value.to_le_bytes());
-    }
-
     /// Reads a little-endian `u32`.
     pub fn read_u32(&self, addr: u64) -> u32 {
         let off = (addr & PAGE_MASK) as usize;
@@ -222,11 +217,6 @@ impl MemoryDelta {
     /// Number of recorded pages.
     pub fn page_count(&self) -> usize {
         self.pages.len()
-    }
-
-    /// Checkpoint payload size in bytes.
-    pub fn payload_bytes(&self) -> usize {
-        self.pages.len() * PAGE_SIZE
     }
 
     /// Folds the delta (page numbers and contents, in address order) into

@@ -396,11 +396,6 @@ impl<T: Tracer> MultiSim<T> {
         &self.ctxs[i]
     }
 
-    /// Mutable access to context `i`.
-    pub fn ctx_mut(&mut self, i: usize) -> &mut AnySimulator<T> {
-        &mut self.ctxs[i]
-    }
-
     /// Aggregate cross-context contention counters.
     pub fn contention(&self) -> &ContentionStats {
         &self.contention

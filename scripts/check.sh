@@ -124,6 +124,26 @@ CARF_RESULTS_DIR="$AS_DIR" CARF_CACHE_REQUIRE_WARM=1 \
     cargo run --release -q -p carf-bench --bin carf-as -- \
     --quick --jobs 2 --machine both corpus | grep "cache: served"
 python3 -c "import json; json.load(open('$AS_DIR/corpus_runs.json'))"
+# The cache has no index; its entries are the listing. Read them the way
+# EXPERIMENTS.md "Result cache" does: each entry is one line of JSON filed
+# under its own key, its first members say what it holds, and the cache
+# directory holds nothing but shard directories.
+python3 - "$AS_DIR/cache" <<'EOF'
+import glob, json, os, sys
+root = sys.argv[1]
+entries = sorted(glob.glob(os.path.join(root, "*", "*.json")))
+assert entries, "the cache holds no entries"
+for f in entries:
+    text = open(f).read()
+    assert text.endswith("\n") and text.count("\n") == 1, f"{f}: not one line"
+    e = json.loads(text)
+    assert e["key"] == os.path.basename(f)[: -len(".json")], f"{f}: filed under another key"
+    head = ["key", "kind", "point"] + (["policy"] if e["kind"] == "multi" else []) + ["config", "budget"]
+    assert list(e)[: len(head)] == head, f"{f}: members {list(e)[: len(head)]}"
+stray = sorted(n for n in os.listdir(root) if not os.path.isdir(os.path.join(root, n)))
+assert not stray, f"not shard directories: {stray}"
+print(f"cache listing: {len(entries)} entries, nothing else")
+EOF
 # One program under co-simulation with its pipeline timeline: the first
 # eight commits, traced through the recorder.
 CARF_RESULTS_DIR="$AS_DIR" \

@@ -355,7 +355,7 @@ fn check_json(text: &str) -> Result<(), usize> {
 #[test]
 fn quoted_program_names_are_served_warm_and_stay_valid_json() {
     // A corpus program's name is its file stem, so it reaches the cache
-    // entry, the cache index, and `corpus_runs.json` as a JSON string.
+    // entry and `corpus_runs.json` as a JSON string.
     let root = std::env::temp_dir().join(format!("carf-escape-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&root);
     std::fs::create_dir_all(&root).expect("temp dir");
@@ -377,7 +377,14 @@ fn quoted_program_names_are_served_warm_and_stay_valid_json() {
     };
     assert!(run("0").contains("cache: served 0, simulated 1"));
     assert!(run("1").contains("cache: served 1, simulated 0"));
-    for file in [results.join("cache").join("index.json"), results.join("corpus_runs.json")] {
+    // One machine, one program: the cache holds one entry.
+    let entries: Vec<_> = std::fs::read_dir(results.join("cache"))
+        .expect("cache dir")
+        .flat_map(|shard| std::fs::read_dir(shard.expect("shard").path()).expect("shard dir"))
+        .map(|entry| entry.expect("entry").path())
+        .collect();
+    assert_eq!(entries.len(), 1, "{entries:?}");
+    for file in [entries[0].clone(), results.join("corpus_runs.json")] {
         let text = std::fs::read_to_string(&file).expect("written");
         assert_eq!(check_json(&text), Ok(()), "{}:\n{text}", file.display());
         assert!(text.contains(r#"we\"i\\rd"#), "{text}");

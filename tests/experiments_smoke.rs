@@ -2,6 +2,7 @@
 //! (workloads → simulator → aggregation → model) produces well-formed
 //! numbers at tiny scale.
 
+use carf_bench::cli::CliSpec;
 use carf_bench::{
     baseline_geometry, carf_geometries, rf_energy_carf, rf_energy_monolithic,
     run_custom_with_cache, run_workload, suite_points, unlimited_geometry, Budget, SuiteResult,
@@ -63,13 +64,16 @@ fn matrix_runner_matches_per_suite_runs() {
 
 #[test]
 fn budget_arg_parsing_is_strict() {
-    let ok = Budget::parse_args(["--full".into(), "--jobs".into(), "3".into()]).unwrap();
+    let parse = |args: &[&str]| {
+        CliSpec::budget_only("experiments_smoke").parse_from(args.iter().map(|s| s.to_string()))
+    };
+    let ok = parse(&["--full", "--jobs", "3"]).unwrap().budget;
     assert_eq!((ok.label(), ok.jobs), ("full", 3));
-    let ok = Budget::parse_args(["--jobs=5".into(), "--quick".into()]).unwrap();
+    let ok = parse(&["--jobs=5", "--quick"]).unwrap().budget;
     assert_eq!((ok.label(), ok.jobs), ("quick", 5));
-    assert!(Budget::parse_args(["--bogus".into()]).is_err());
-    assert!(Budget::parse_args(["--jobs".into(), "zero".into()]).is_err());
-    assert!(Budget::parse_args(["--jobs=0".into()]).is_err());
+    assert!(parse(&["--bogus"]).is_err());
+    assert!(parse(&["--jobs", "zero"]).is_err());
+    assert!(parse(&["--jobs=0"]).is_err());
 }
 
 #[test]
@@ -230,4 +234,35 @@ fn a_failed_chrome_trace_write_is_an_error_naming_the_file() {
         stderr.contains("error: could not write") && stderr.contains("sort_kernel_base.json"),
         "{stderr}"
     );
+}
+
+#[test]
+fn carf_sample_rejects_a_tolerance_that_is_not_finite_and_positive() {
+    let results = std::env::temp_dir().join(format!("carf-sample-check-{}", std::process::id()));
+    for bad in ["inf", "nan", "-1"] {
+        let out = std::process::Command::new(env!("CARGO_BIN_EXE_carf-sample"))
+            .args(["--quick", "--jobs", "1", "--machine", "base", "--suite", "int"])
+            .args(["--check", bad])
+            .env("CARF_RESULTS_DIR", &results)
+            .output()
+            .expect("carf-sample runs");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "--check {bad}; stderr:\n{stderr}");
+        assert!(stderr.contains("`--check` expects a positive relative tolerance"), "{stderr}");
+        // Rejected before anything simulates: not even the header is printed.
+        assert!(out.stdout.is_empty(), "--check {bad}: {}", String::from_utf8_lossy(&out.stdout));
+    }
+    let _ = std::fs::remove_dir_all(&results);
+}
+
+#[test]
+fn analytic_binaries_reject_unknown_flags() {
+    let out = std::process::Command::new(env!("CARGO_BIN_EXE_fig8_area"))
+        .arg("--bogus")
+        .output()
+        .expect("fig8_area runs");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(2), "stderr:\n{stderr}");
+    assert!(stderr.contains("unrecognized argument `--bogus`"), "{stderr}");
+    assert!(stderr.contains("usage: fig8_area"), "{stderr}");
 }
