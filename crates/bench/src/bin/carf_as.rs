@@ -9,9 +9,12 @@
 //! Each path is a `.s` file or a directory following the corpus layout
 //! (see `carf_bench::corpus`): subdirectories link as multi-unit
 //! programs, loose files as single-unit programs; with no paths the
-//! workspace `corpus/` is run. Timing runs go through the shared result
-//! cache keyed on program *content*, so re-runs of unchanged sources do
-//! zero simulation; per-program stats land in `results/corpus_runs.json`.
+//! workspace `corpus/` is run. Every program first runs through the
+//! functional executor up to the budget; one whose PC leaves its code
+//! segment is an input error (exit 1). Timing runs go through the shared
+//! result cache keyed on program *content*, so re-runs of unchanged
+//! sources do zero simulation; per-program stats land in
+//! `results/corpus_runs.json`.
 //! `--timeline N` additionally traces each program's first N commits
 //! through a [`TraceRecorder`] and prints their stage cycles.
 
@@ -19,7 +22,7 @@ use carf_bench::cli::{CliSpec, MachineSet, OptSpec};
 use carf_bench::json::Value;
 use carf_bench::{cache, corpus, parallel};
 use carf_core::CarfParams;
-use carf_isa::Machine;
+use carf_isa::{ExecError, Machine};
 use carf_sim::{AnySimulator, SimConfig, TraceRecorder};
 use carf_workloads::Suite;
 use std::path::PathBuf;
@@ -165,21 +168,28 @@ fn main() {
         }
     }
 
-    if parsed.option("--functional").is_some() {
-        for p in &programs {
-            let mut m = Machine::load(&p.program);
-            match m.run(&p.program, budget.max_insts) {
-                Ok(retired) => println!(
-                    "{:<12} functional: {retired} retired{}",
-                    p.name,
-                    if m.is_halted() { "" } else { " (budget reached)" }
-                ),
-                Err(e) => {
-                    eprintln!("error: {}: {e}", p.name);
-                    std::process::exit(1);
-                }
-            }
+    // Every program runs through the functional executor up to the budget
+    // first. With `--functional` that run is the output; otherwise it
+    // rejects a program whose PC leaves its code segment before any point
+    // simulates or any record or cache entry is written (`run_workload`
+    // would panic on the runaway fetch).
+    let functional = parsed.option("--functional").is_some();
+    for p in &programs {
+        let mut m = Machine::load(&p.program);
+        if let Err(e @ ExecError::PcOutOfRange(_)) = m.run(&p.program, budget.max_insts) {
+            eprintln!("error: {}: {e}", p.name);
+            std::process::exit(1);
         }
+        if functional {
+            println!(
+                "{:<12} functional: {} retired{}",
+                p.name,
+                m.retired(),
+                if m.is_halted() { "" } else { " (budget reached)" }
+            );
+        }
+    }
+    if functional {
         return;
     }
 

@@ -298,7 +298,7 @@ mod tests {
         };
         s.dispatch_stalls.rob = 5;
         s.operand_mix.record(&[carf_core::ValueClass::Simple]);
-        s.oracle.record(&[7, 7, 9]);
+        s.oracle.record(&mut [7, 7, 9]);
         s.bpred.cond_predictions = 1000;
         s.mem.dl1.hits = 500;
         s.mem.dl1.writebacks = 3;
@@ -340,8 +340,8 @@ mod tests {
     #[test]
     fn oracle_groups_round_trip() {
         let mut s = SimStats::default();
-        s.oracle.record(&[1, 1, 1, 2, 3]);
-        s.oracle.record(&[5; 20]);
+        s.oracle.record(&mut [1, 1, 1, 2, 3]);
+        s.oracle.record(&mut [5; 20]);
         let back = stats_from_json(&stats_to_json(&s)).unwrap();
         assert_eq!(back.oracle, s.oracle);
         assert_eq!(back.oracle.values.fractions(), s.oracle.values.fractions());

@@ -6,11 +6,22 @@
 //! population, and attribute each live register to the rank bucket of its
 //! group. The buckets are Group 1, Group 2, Groups 3–4, Groups 5–8,
 //! Groups 9–16, and REST.
-
-use std::collections::HashMap;
+//!
+//! A snapshot is grouped from its values sorted ascending. `v >> d` is
+//! monotone in `v`, so every group is one run of equal keys in the sorted
+//! slice, and every grouping of one snapshot reads the same sorted slice
+//! in one run-length pass. Only the 16 largest runs need a rank: every
+//! later rank is REST, whose population is the snapshot's size minus
+//! theirs. Recording a sorted snapshot
+//! ([`GroupAccumulator::record_sorted`]) therefore neither allocates nor
+//! hashes.
 
 /// Number of rank buckets.
 pub const NUM_GROUPS: usize = 6;
+
+/// Number of ranks with a bucket of their own; every rank from here on is
+/// REST.
+const RANKED: usize = 16;
 
 /// Human-readable bucket labels in paper order.
 pub const GROUP_LABELS: [&str; NUM_GROUPS] =
@@ -57,33 +68,52 @@ impl GroupAccumulator {
     }
 
     /// Records one snapshot, grouping live registers by exact value
-    /// (Figure 1).
+    /// (Figure 1). Sorts a copy of `live`; see
+    /// [`GroupAccumulator::record_sorted`].
     pub fn record_values(&mut self, live: &[u64]) {
-        self.record_keys(live.iter().copied());
+        self.record_similarity(live, 0);
     }
 
     /// Records one snapshot, grouping live registers by their high `64-d`
-    /// bits (Figure 2's `(64-d)`-similarity).
+    /// bits (Figure 2's `(64-d)`-similarity). Sorts a copy of `live`; see
+    /// [`GroupAccumulator::record_sorted`].
     pub fn record_similarity(&mut self, live: &[u64], d: u32) {
-        self.record_keys(live.iter().map(|v| if d >= 64 { 0 } else { v >> d }));
+        let mut sorted = live.to_vec();
+        sorted.sort_unstable();
+        self.record_sorted(&sorted, d);
     }
 
-    /// Records one snapshot with caller-provided group keys.
-    pub fn record_keys<I: IntoIterator<Item = u64>>(&mut self, keys: I) {
-        let mut counts: HashMap<u64, u64> = HashMap::new();
-        let mut n = 0u64;
-        for k in keys {
-            *counts.entry(k).or_insert(0) += 1;
-            n += 1;
-        }
-        if n == 0 {
+    /// Records one snapshot of live values sorted ascending, grouping them
+    /// by their high `64-d` bits: `d = 0` groups exact values, and
+    /// `d >= 64` puts every value in one group. An empty snapshot is not
+    /// recorded.
+    pub fn record_sorted(&mut self, sorted: &[u64], d: u32) {
+        debug_assert!(sorted.is_sorted(), "record_sorted needs ascending values");
+        if sorted.is_empty() {
             return;
         }
-        let mut sizes: Vec<u64> = counts.into_values().collect();
-        sizes.sort_unstable_by(|a, b| b.cmp(a));
-        for (rank, size) in sizes.into_iter().enumerate() {
-            self.totals[bucket_for_rank(rank)] += size;
+        let key = |v: u64| v.checked_shr(d).unwrap_or(0);
+        // The RANKED largest group sizes, descending; unused slots stay 0.
+        let mut top = [0u64; RANKED];
+        for run in sorted.chunk_by(|a, b| key(*a) == key(*b)) {
+            let size = run.len() as u64;
+            if size <= top[RANKED - 1] {
+                continue;
+            }
+            let mut rank = RANKED - 1;
+            while rank > 0 && top[rank - 1] < size {
+                top[rank] = top[rank - 1];
+                rank -= 1;
+            }
+            top[rank] = size;
         }
+        let n = sorted.len() as u64;
+        let mut ranked = 0;
+        for (rank, size) in top.into_iter().enumerate() {
+            self.totals[bucket_for_rank(rank)] += size;
+            ranked += size;
+        }
+        self.totals[bucket_for_rank(RANKED)] += n - ranked;
         self.live_total += n;
         self.snapshots += 1;
     }

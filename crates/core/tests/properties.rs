@@ -1,10 +1,12 @@
 //! Property-based tests of the content-aware register file's invariants.
 
+use carf_core::analysis::{bucket_for_rank, GroupAccumulator, NUM_GROUPS};
 use carf_core::{
     classify, is_simple, reconstruct_long, reconstruct_short, split_long, split_short,
     CarfParams, ContentAwareRegFile, IntRegFile, Policies, ShortIndexPolicy, ValueClass,
 };
 use proptest::prelude::*;
+use std::collections::HashMap;
 
 /// Arbitrary valid geometry across the paper's sweep range.
 fn arb_params() -> impl Strategy<Value = CarfParams> {
@@ -179,5 +181,62 @@ proptest! {
         prop_assert_eq!(rf.stats().total_reads, reads);
         prop_assert_eq!(rf.stats().writes.total(), ok_writes);
         prop_assert_eq!(rf.stats().reads.total(), reads);
+    }
+}
+
+/// The oracle grouping before it sorted, kept as the reference model:
+/// count each key `v >> d` in a `HashMap`, rank the group sizes
+/// descending, and add each size to its rank's bucket.
+fn reference_grouping(snapshots: &[Vec<u64>], d: u32) -> GroupAccumulator {
+    let mut totals = [0u64; NUM_GROUPS];
+    let (mut live, mut recorded) = (0u64, 0u64);
+    for snapshot in snapshots.iter().filter(|s| !s.is_empty()) {
+        let mut counts: HashMap<u64, u64> = HashMap::new();
+        for v in snapshot {
+            *counts.entry(if d >= 64 { 0 } else { v >> d }).or_insert(0) += 1;
+        }
+        let mut sizes: Vec<u64> = counts.into_values().collect();
+        sizes.sort_unstable_by(|a, b| b.cmp(a));
+        for (rank, size) in sizes.into_iter().enumerate() {
+            totals[bucket_for_rank(rank)] += size;
+        }
+        live += snapshot.len() as u64;
+        recorded += 1;
+    }
+    GroupAccumulator::from_raw_parts(totals, live, recorded)
+}
+
+/// Live values with heavy ties at every grouping width and, in a snapshot
+/// of more than a few dozen values, more than 16 groups.
+fn arb_live_value() -> impl Strategy<Value = u64> {
+    prop_oneof![
+        // A few hot small values.
+        0u64..6,
+        // 40 values, 5 groups at d = 12.
+        (0u64..40).prop_map(|k| k << 9),
+        // 32 heap-like regions.
+        (0u64..32, 0u64..0x1000).prop_map(|(k, lo)| (k << 36) | lo),
+        // Distinct at every d < 64.
+        any::<u64>(),
+    ]
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(2000))]
+
+    #[test]
+    fn sorted_grouping_matches_the_hashmap_reference(
+        snapshots in proptest::collection::vec(
+            proptest::collection::vec(arb_live_value(), 0..131),
+            1..10,
+        ),
+    ) {
+        for d in [0, 8, 12, 16, 63, 64] {
+            let mut acc = GroupAccumulator::new();
+            for snapshot in &snapshots {
+                acc.record_similarity(snapshot, d);
+            }
+            prop_assert_eq!(acc.raw_parts(), reference_grouping(&snapshots, d).raw_parts());
+        }
     }
 }

@@ -35,7 +35,9 @@
 //! Registers are `x0`–`x31` and `f0`–`f31`. Branch/jump targets are code
 //! labels (or absolute byte addresses, so disassembly output re-parses);
 //! loads/stores use `offset(base)` addressing. Immediates are decimal or
-//! `0x` hex, optionally negative, covering the full 64-bit range. Labels
+//! `0x` hex, optionally negative, from -2^63 to 2^64-1 (a negative value is
+//! stored as its two's complement); `.bytes` values lie in -128..=255, and
+//! the `.zero` blocks of one file reserve at most 16 MiB together. Labels
 //! are identifiers (`[A-Za-z_][A-Za-z0-9_]*`). Data placed before any
 //! `.data <base>` directive is *relocatable*: the linker assigns each
 //! unit its own region (a single-unit program keeps the traditional
@@ -169,6 +171,8 @@ struct UnitParser {
     /// Labels seen but not yet bound to an instruction or data directive.
     pending: Vec<String>,
     cursor: Cursor,
+    /// Bytes reserved by `.zero` so far, at most [`MAX_ZERO_BYTES`].
+    zeroed: u64,
 }
 
 impl UnitParser {
@@ -186,6 +190,7 @@ impl UnitParser {
             },
             pending: Vec::new(),
             cursor: Cursor::Rel(0),
+            zeroed: 0,
         }
     }
 
@@ -293,18 +298,24 @@ impl UnitParser {
                 Ok(())
             }
             "bytes" => {
+                // A byte is written unsigned (0..=255) or signed (-128..=-1).
                 let bytes = args
                     .iter()
-                    .map(|a| parse_u64(a, line).map(|v| v as u8))
+                    .map(|a| parse_int(a, line, -128..=255).map(|v| v as u8))
                     .collect::<Result<Vec<u8>, _>>()?;
                 self.emit_data(bytes);
                 Ok(())
             }
             "zero" => {
-                let n = parse_u64(
-                    args.first().ok_or_else(|| err(line, ".zero needs a byte count"))?,
-                    line,
-                )?;
+                let count = args.first().ok_or_else(|| err(line, ".zero needs a byte count"))?;
+                let n = parse_int(count, line, 0..=i128::from(u64::MAX))? as u64;
+                self.zeroed = self.zeroed.saturating_add(n);
+                if self.zeroed > MAX_ZERO_BYTES {
+                    return Err(err(
+                        line,
+                        format!("`.zero {count}` takes the file past {MAX_ZERO_BYTES} zeroed bytes"),
+                    ));
+                }
                 self.emit_data(vec![0u8; n as usize]);
                 Ok(())
             }
@@ -356,19 +367,45 @@ fn symbol_token(token: &str) -> Option<String> {
     }
 }
 
-fn parse_u64(token: &str, line: usize) -> Result<u64, ParseAsmError> {
+/// The most bytes the `.zero` blocks of one source file may reserve
+/// together (16 MiB). The bound is checked before each block is
+/// allocated, so no count in the source can exhaust memory; the corpus's
+/// largest block is 32,000 bytes.
+const MAX_ZERO_BYTES: u64 = 1 << 24;
+
+/// Parses a decimal or `0x` hex integer, optionally negative, that must
+/// lie in `range`.
+fn parse_int(
+    token: &str,
+    line: usize,
+    range: std::ops::RangeInclusive<i128>,
+) -> Result<i128, ParseAsmError> {
     let token = token.trim().trim_end_matches(',');
     let (neg, body) = match token.strip_prefix('-') {
         Some(rest) => (true, rest),
         None => (false, token),
     };
-    let value = if let Some(hex) = body.strip_prefix("0x").or_else(|| body.strip_prefix("0X")) {
-        u64::from_str_radix(hex, 16)
-    } else {
-        body.parse::<u64>()
+    let magnitude =
+        if let Some(hex) = body.strip_prefix("0x").or_else(|| body.strip_prefix("0X")) {
+            u64::from_str_radix(hex, 16)
+        } else {
+            body.parse::<u64>()
+        }
+        .map_err(|_| err(line, format!("malformed number `{token}`")))?;
+    let value = if neg { -i128::from(magnitude) } else { i128::from(magnitude) };
+    if !range.contains(&value) {
+        return Err(err(
+            line,
+            format!("number `{token}` is outside {}..={}", range.start(), range.end()),
+        ));
     }
-    .map_err(|_| err(line, format!("malformed number `{token}`")))?;
-    Ok(if neg { (value as i64).wrapping_neg() as u64 } else { value })
+    Ok(value)
+}
+
+/// Parses a 64-bit word: `-2^63..=2^64-1`, a negative number stored as
+/// its two's complement.
+fn parse_u64(token: &str, line: usize) -> Result<u64, ParseAsmError> {
+    parse_int(token, line, i128::from(i64::MIN)..=i128::from(u64::MAX)).map(|v| v as u64)
 }
 
 fn parse_f64(token: &str, line: usize) -> Result<f64, ParseAsmError> {
@@ -758,6 +795,58 @@ mod tests {
         assert_eq!(m.int_reg(x(2)), i64::MAX as u64);
         assert_eq!(m.int_reg(x(3)), u64::MAX);
         assert_eq!(m.int_reg(x(4)), u64::MAX);
+    }
+
+    #[test]
+    fn immediates_below_minus_two_to_the_63_are_errors() {
+        // These used to wrap: the first to 0x7fff_ffff_ffff_ffff, the
+        // second to 1.
+        for bad in ["-9223372036854775809", "-18446744073709551615", "-0x8000000000000001"] {
+            let e = parse_asm(&format!("nop\nli x1, {bad}\nhalt")).unwrap_err();
+            assert_eq!(e.line, 2, "{e}");
+            assert!(e.message.contains(bad) && e.message.contains("outside"), "{e}");
+        }
+        let e = parse_asm(".words 1, -9223372036854775809\nhalt").unwrap_err();
+        assert_eq!(e.line, 1, "{e}");
+    }
+
+    #[test]
+    fn byte_values_must_fit_a_byte() {
+        for bad in ["256", "300", "0x100", "-129"] {
+            let e = parse_asm(&format!("nop\nmsg: .bytes 7, {bad}\nhalt")).unwrap_err();
+            assert_eq!(e.line, 2, "{e}");
+            assert!(e.message.contains(bad) && e.message.contains("-128..=255"), "{e}");
+        }
+        let m = run(r"
+        msg: .bytes -128, 255, -1
+            li x1, msg
+            lbu x2, 0(x1)
+            lbu x3, 1(x1)
+            lbu x4, 2(x1)
+            halt
+        ");
+        assert_eq!([m.int_reg(x(2)), m.int_reg(x(3)), m.int_reg(x(4))], [0x80, 0xff, 0xff]);
+    }
+
+    #[test]
+    fn zero_counts_past_the_bound_are_errors() {
+        // Rejected before the block is allocated: none of these counts
+        // reaches `vec![0u8; n]`.
+        let past = (MAX_ZERO_BYTES + 1).to_string();
+        for bad in [past.as_str(), "9223372036854775808", "0xffffffffffffffff", "-1"] {
+            let e = parse_asm(&format!("nop\nbuf: .zero {bad}\nhalt")).unwrap_err();
+            assert_eq!(e.line, 2, "{e}");
+            assert!(e.message.contains(bad), "{e}");
+        }
+        // The bound holds for a file's blocks together, so repeating a
+        // block cannot exhaust memory either.
+        let half = MAX_ZERO_BYTES / 2 + 1;
+        let e =
+            parse_asm(&format!("a: .zero 8\nb: .zero {half}\nc: .zero {half}\nhalt")).unwrap_err();
+        assert_eq!(e.line, 3, "{e}");
+        // The corpus's largest block assembles.
+        let p = parse_asm("pool: .zero 32000\nhalt").unwrap();
+        assert_eq!(p.data.iter().map(|d| d.bytes.len()).sum::<usize>(), 32000);
     }
 
     #[test]

@@ -1,10 +1,39 @@
 //! Sparse, paged 64-bit physical memory.
 
 use std::collections::HashMap;
+use std::hash::{BuildHasherDefault, Hasher};
 
 const PAGE_SHIFT: u32 = 12;
 const PAGE_SIZE: usize = 1 << PAGE_SHIFT;
 const PAGE_MASK: u64 = (PAGE_SIZE as u64) - 1;
+
+/// Hashes a page number with one 64×64→128-bit multiply, folding the
+/// product's high half into its low half: the table indexes by the low
+/// bits and tags by the high ones, and the fold lets pages that differ
+/// only in their high bits still spread over both. Every load and store
+/// hashes a page number, which is why the hash is a single multiply. Page
+/// numbers come from the simulated program; one crafted to collide slows
+/// only its own simulation.
+#[derive(Default)]
+struct PageHasher(u64);
+
+impl Hasher for PageHasher {
+    fn write(&mut self, _bytes: &[u8]) {
+        unreachable!("pages are keyed by u64 page numbers, hashed by write_u64");
+    }
+
+    fn write_u64(&mut self, page: u64) {
+        // 2^64 / φ, rounded to odd.
+        let product = u128::from(page) * 0x9e37_79b9_7f4a_7c15;
+        self.0 = product as u64 ^ (product >> 64) as u64;
+    }
+
+    fn finish(&self) -> u64 {
+        self.0
+    }
+}
+
+type PageMap = HashMap<u64, Box<[u8; PAGE_SIZE]>, BuildHasherDefault<PageHasher>>;
 
 /// A sparsely allocated flat 64-bit address space.
 ///
@@ -27,7 +56,7 @@ const PAGE_MASK: u64 = (PAGE_SIZE as u64) - 1;
 /// ```
 #[derive(Clone, Default)]
 pub struct SparseMemory {
-    pages: HashMap<u64, Box<[u8; PAGE_SIZE]>>,
+    pages: PageMap,
 }
 
 impl SparseMemory {

@@ -116,3 +116,57 @@ proptest! {
         prop_assert!(s.writebacks <= s.misses);
     }
 }
+
+/// 8-byte-aligned addresses whose page numbers differ only in their high
+/// bits (2^40 apart), and addresses in the top page of the address space.
+fn arb_far_addr() -> impl Strategy<Value = u64> {
+    prop_oneof![
+        (0u64..64, 0u64..512).prop_map(|(k, slot)| (k << 40) | (slot * 8)),
+        (0u64..512).prop_map(|slot| u64::MAX - 7 - slot * 8),
+    ]
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    #[test]
+    fn far_apart_and_top_page_addresses_read_back(
+        ops in proptest::collection::vec((arb_far_addr(), any::<u64>(), any::<bool>()), 1..200),
+    ) {
+        let mut mem = SparseMemory::new();
+        let mut model: HashMap<u64, u64> = HashMap::new();
+        for (addr, value, is_write) in ops {
+            if is_write {
+                mem.write_u64(addr, value);
+                model.insert(addr, value);
+            } else {
+                prop_assert_eq!(mem.read_u64(addr), model.get(&addr).copied().unwrap_or(0));
+            }
+        }
+        for (addr, value) in &model {
+            prop_assert_eq!(mem.read_u64(*addr), *value);
+        }
+    }
+
+    #[test]
+    fn delta_fingerprints_do_not_depend_on_insertion_order(
+        writes in proptest::collection::vec((arb_far_addr(), any::<u64>()), 1..64),
+    ) {
+        let mut entries: Vec<(u64, u64)> =
+            writes.into_iter().collect::<HashMap<u64, u64>>().into_iter().collect();
+        entries.sort_unstable();
+        let (mut forward, mut backward) = (SparseMemory::new(), SparseMemory::new());
+        for (addr, value) in &entries {
+            forward.write_u64(*addr, *value);
+        }
+        for (addr, value) in entries.iter().rev() {
+            backward.write_u64(*addr, *value);
+        }
+        let base = SparseMemory::new();
+        let seed = 0xcbf2_9ce4_8422_2325;
+        prop_assert_eq!(
+            forward.delta_from(&base).fold_fnv1a(seed),
+            backward.delta_from(&base).fold_fnv1a(seed)
+        );
+    }
+}

@@ -998,7 +998,7 @@ impl<R: IntRegFile, T: Tracer> Simulator<R, T> {
         }
         self.oracle_scratch.clear();
         self.oracle_scratch.extend(self.int_pregs.iter().filter(|s| s.valid).map(|s| s.value));
-        self.stats.oracle.record(&self.oracle_scratch);
+        self.stats.oracle.record(&mut self.oracle_scratch);
     }
 }
 

@@ -100,15 +100,17 @@ pub struct OracleData {
 }
 
 impl OracleData {
-    /// Records one snapshot of the live integer values.
-    pub fn record(&mut self, live: &[u64]) {
+    /// Records one snapshot of the live integer values, sorting them in
+    /// place so all four groupings read one sorted slice.
+    pub fn record(&mut self, live: &mut [u64]) {
         if live.is_empty() {
             return;
         }
-        self.values.record_values(live);
-        self.sim_d8.record_similarity(live, 8);
-        self.sim_d12.record_similarity(live, 12);
-        self.sim_d16.record_similarity(live, 16);
+        live.sort_unstable();
+        self.values.record_sorted(live, 0);
+        self.sim_d8.record_sorted(live, 8);
+        self.sim_d12.record_sorted(live, 12);
+        self.sim_d16.record_sorted(live, 16);
         self.live_sum += live.len() as u64;
         self.snapshots += 1;
     }
@@ -306,11 +308,11 @@ mod tests {
     #[test]
     fn oracle_records_mean_live() {
         let mut o = OracleData::default();
-        o.record(&[1, 2, 3, 4]);
-        o.record(&[5, 6]);
+        o.record(&mut [4, 3, 2, 1]);
+        o.record(&mut [5, 6]);
         assert_eq!(o.snapshots, 2);
         assert!((o.mean_live() - 3.0).abs() < 1e-12);
-        o.record(&[]); // ignored
+        o.record(&mut []); // ignored
         assert_eq!(o.snapshots, 2);
     }
 }

@@ -4,6 +4,7 @@
 //! squash recovery) — a scratch buffer that leaks state across cycles or
 //! across a squash shows up here as a drifted counter.
 
+use carf_core::analysis::NUM_GROUPS;
 use carf_sim::{SimConfig, SimStats, AnySimulator, TraceRecorder};
 use carf_workloads::{random_program, RandomProgramParams};
 
@@ -47,7 +48,20 @@ fn fingerprint(s: &SimStats) -> Vec<(&'static str, u64)> {
     ]
 }
 
-fn assert_fingerprint(config: &SimConfig, expected: &[(&str, u64)]) {
+/// Every accumulator's `raw_parts()` (exact values, then d = 8, 12, 16),
+/// followed by `live_sum` and `snapshots`.
+type OracleFingerprint = ([([u64; NUM_GROUPS], u64, u64); 4], u64, u64);
+
+fn oracle_fingerprint(s: &SimStats) -> OracleFingerprint {
+    let o = &s.oracle;
+    (
+        [o.values.raw_parts(), o.sim_d8.raw_parts(), o.sim_d12.raw_parts(), o.sim_d16.raw_parts()],
+        o.live_sum,
+        o.snapshots,
+    )
+}
+
+fn assert_fingerprint(config: &SimConfig, expected: &[(&str, u64)]) -> SimStats {
     let stats = pinned_run(config);
     let got = fingerprint(&stats);
     for ((name, want), (_, have)) in expected.iter().zip(&got) {
@@ -57,6 +71,7 @@ fn assert_fingerprint(config: &SimConfig, expected: &[(&str, u64)]) {
              full fingerprint: {got:?}"
         );
     }
+    stats
 }
 
 #[test]
@@ -94,7 +109,7 @@ fn carf_stats_are_pinned() {
     let mut cfg = SimConfig::paper_carf(carf_core::CarfParams::paper_default());
     cfg.cosim = true;
     cfg.oracle_period = Some(16);
-    assert_fingerprint(
+    let stats = assert_fingerprint(
         &cfg,
         &[
             ("cycles", 14767),
@@ -115,6 +130,21 @@ fn carf_stats_are_pinned() {
             ("fp_rf_writes", 2822),
             ("stl_forwards", 0),
         ],
+    );
+    // The oracle's groupings (Figs. 1 and 2), exactly.
+    assert_eq!(
+        oracle_fingerprint(&stats),
+        (
+            [
+                ([38918, 10542, 7158, 7506, 8414, 4915], 77453, 922),
+                ([50503, 5249, 5201, 6599, 7841, 2060], 77453, 922),
+                ([52002, 10463, 5268, 5896, 3759, 65], 77453, 922),
+                ([52017, 10467, 6119, 5787, 3003, 60], 77453, 922),
+            ],
+            77453,
+            922,
+        ),
+        "the oracle drifted on the pinned workload"
     );
 }
 
@@ -237,6 +267,8 @@ fn print_fingerprints() {
     let mut carf = SimConfig::paper_carf(carf_core::CarfParams::paper_default());
     carf.cosim = true;
     carf.oracle_period = Some(16);
-    println!("carf: {:?}", fingerprint(&pinned_run(&carf)));
+    let carf_stats = pinned_run(&carf);
+    println!("carf: {:?}", fingerprint(&carf_stats));
+    println!("carf oracle: {:?}", oracle_fingerprint(&carf_stats));
     println!("branch_storm: {:?}", fingerprint(&branch_storm_run()));
 }

@@ -152,15 +152,25 @@ CARF_RESULTS_DIR="$AS_DIR" \
 ROWS="$(grep -cE '^ +[0-9]+ 0x[0-9a-f]+ D[0-9]+' "$AS_DIR/timeline.out")"
 [ "$ROWS" -eq 8 ] || { echo "carf-as --timeline 8 printed $ROWS rows"; exit 1; }
 
-echo "==> corpus demographics (fig1 --corpus)"
+echo "==> corpus demographics (fig1 and fig2 --corpus)"
 CARF_RESULTS_DIR="$AS_DIR" \
     cargo run --release -q -p carf-bench --bin fig1_value_distribution -- \
     --quick --jobs 2 --corpus | tail -n 4
+CARF_RESULTS_DIR="$AS_DIR" \
+    cargo run --release -q -p carf-bench --bin fig2_similarity -- \
+    --quick --jobs 2 --corpus | tail -n 4
+# Both binaries observe the same oracle runs, so their records must count
+# the same programs and snapshots.
 python3 -c "
 import json
 recs = json.load(open('$AS_DIR/corpus_demographics.json'))
-r = next(x for x in recs if x['figure'] == 'fig1')
-assert len(r['corpus']) == 6 and len(r['delta_pp']) == 6, r
+f1 = next(x for x in recs if x['figure'] == 'fig1')
+assert len(f1['corpus']) == 6 and len(f1['delta_pp']) == 6, f1
+f2 = next(x for x in recs if x['figure'] == 'fig2')
+for d in ('d8', 'd12', 'd16'):
+    for k in ('synthetic_', 'corpus_', 'delta_pp_'):
+        assert len(f2[k + d]) == 6, (k + d, f2)
+assert (f2['programs'], f2['snapshots']) == (f1['programs'], f1['snapshots']), (f1, f2)
 "
 
 echo "==> carf-sample smoke test (sampled vs full IPC)"

@@ -266,3 +266,33 @@ fn analytic_binaries_reject_unknown_flags() {
     assert!(stderr.contains("unrecognized argument `--bogus`"), "{stderr}");
     assert!(stderr.contains("usage: fig8_area"), "{stderr}");
 }
+
+#[test]
+fn carf_as_rejects_a_runaway_program_before_simulating() {
+    // A jump out of the code segment: the timing simulator would panic on
+    // its runaway fetch, so carf-as must reject the program first and
+    // write nothing.
+    let dir = std::env::temp_dir().join(format!("carf-as-runaway-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).expect("temp dir");
+    let source = dir.join("j.s");
+    std::fs::write(&source, "j 0x7fffffffffffffff\nhalt\n").expect("temp source");
+    let results = dir.join("results");
+    let out = std::process::Command::new(env!("CARGO_BIN_EXE_carf-as"))
+        .args([source.to_str().expect("utf-8 path"), "--quick", "--machine", "base"])
+        .env("CARF_RESULTS_DIR", &results)
+        .env_remove("CARF_CACHE")
+        .env_remove("CARF_CACHE_REQUIRE_WARM")
+        .output()
+        .expect("carf-as runs");
+    let wrote_anything = results.exists();
+    let _ = std::fs::remove_dir_all(&dir);
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(1), "stderr:\n{stderr}");
+    assert!(
+        stderr.contains("error: j: pc 0x7fffffffffffffff outside the code segment"),
+        "{stderr}"
+    );
+    assert!(!stderr.contains("panicked"), "{stderr}");
+    assert!(!wrote_anything, "a rejected program must leave no record or cache entry");
+}
