@@ -2,12 +2,13 @@
 //!
 //! Runs selected workloads under the baseline and/or content-aware
 //! machines with a [`TraceRecorder`] installed, then reports per-cycle
-//! stall attribution (buckets sum to total cycles by construction),
-//! stage-latency histograms, and the CARF-specific counters (WR1
-//! outcomes, Long-file writeback retries, issue-guard cycles). It also
-//! exports a Chrome trace-event JSON per point (loadable in Perfetto or
-//! `chrome://tracing`) and merges a counters record into
-//! `results/trace_counters.json`.
+//! stall attribution (buckets sum to total cycles by construction) and
+//! mean stage latencies. It also exports a Chrome trace-event JSON per
+//! point (loadable in Perfetto or `chrome://tracing`) and merges a
+//! counters record into `results/trace_counters.json`: the recorder's
+//! dispatch/issue/execute counts, buckets and latencies beside the
+//! run's own `SimStats` counts, the CARF-specific ones (WR1 outcomes,
+//! Long-file writeback retries, issue-guard cycles) included.
 //!
 //! Replaces the old `diag_stalls` diagnostic, which ignored its arguments
 //! and panicked on unknown workloads.
@@ -15,7 +16,7 @@
 use carf_bench::cli::{CliSpec, MachineSet, OptSpec};
 use carf_bench::json::Value;
 use carf_bench::{fsio, parallel, trace, Budget};
-use carf_sim::{SimConfig, AnySimulator, StageHistograms, StallReport, TraceRecorder};
+use carf_sim::{SimConfig, AnySimulator, StageLatencies, StallReport, TraceRecorder};
 use carf_workloads::{all_workloads, Workload};
 
 /// Workloads traced when none are named: the four kernels where the
@@ -95,7 +96,7 @@ struct PointOutput {
     cycles: u64,
     committed: u64,
     report: StallReport,
-    histograms: StageHistograms,
+    latencies: StageLatencies,
     chrome_json: String,
     counters: Vec<(&'static str, Value)>,
 }
@@ -113,6 +114,7 @@ fn run_point(
     let result = sim
         .run(budget.max_insts)
         .map_err(|e| format!("{} under {label}: {e}", workload.name))?;
+    let counters = trace::counters(sim.tracer(), sim.stats());
     let recorder = sim.into_tracer();
     let report = recorder.stall_report();
     if report.bucket_sum() != recorder.cycles() {
@@ -132,9 +134,9 @@ fn run_point(
         cycles: result.cycles,
         committed: result.committed,
         report,
-        histograms: recorder.histograms().clone(),
+        latencies: *recorder.latencies(),
         chrome_json: trace::chrome_trace(&recorder),
-        counters: trace::counters(&recorder),
+        counters,
     })
 }
 
@@ -177,7 +179,7 @@ fn main() {
             point.workload, point.label, point.config_tag, point.ipc, point.cycles, point.committed
         );
         print!("{}", point.report);
-        let h = &point.histograms;
+        let h = &point.latencies;
         println!(
             "latency means (cycles): dispatch->issue {:.1}, issue->execute {:.1}, \
              execute->retire {:.1}, dispatch->retire {:.1}",

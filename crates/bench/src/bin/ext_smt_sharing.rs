@@ -9,6 +9,7 @@
 //! `P(combined > K)` estimates how often a shared K-entry file would have
 //! to stall one thread.
 
+use carf_bench::cli::CliSpec;
 use carf_bench::{pct, print_table, run_custom_cached, suite_points};
 use carf_core::CarfParams;
 use carf_sim::SimConfig;
@@ -40,7 +41,12 @@ fn overflow(dist: &[f64], k: usize) -> f64 {
 }
 
 fn main() {
-    let budget = carf_bench::cli::budget_for(env!("CARGO_BIN_NAME"));
+    let budget = CliSpec::budget_only(env!("CARGO_BIN_NAME"))
+        .parse_unsampled(
+            "sampled windows do not carry the Long-file occupancy histogram, \
+             so every P(demand > K) would read 0",
+        )
+        .budget;
     println!("§6 SMT Long-file sharing estimate ({} run)", budget.label());
     let cfg = SimConfig::paper_carf(CarfParams::paper_default());
 

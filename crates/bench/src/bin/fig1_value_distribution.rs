@@ -32,7 +32,7 @@ fn merged(result: &SuiteResult) -> GroupAccumulator {
 }
 
 fn main() {
-    let parsed = SPEC.parse();
+    let parsed = SPEC.parse_unsampled(corpus::ORACLE_UNSAMPLED);
     let budget = parsed.budget;
     println!("Figure 1: distribution of live integer data values ({} run)", budget.label());
     let results = corpus::oracle_suites(&budget);

@@ -36,7 +36,7 @@ fn stats_of(results: Vec<SuiteResult>) -> Vec<SimStats> {
 }
 
 fn main() {
-    let parsed = SPEC.parse();
+    let parsed = SPEC.parse_unsampled(corpus::ORACLE_UNSAMPLED);
     let budget = parsed.budget;
     println!("Figure 2: (64-d)-similar live value distribution ({} run)", budget.label());
 

@@ -15,7 +15,9 @@
 //!
 //! Binaries with no extra options call [`budget_for`]; the richer ones
 //! (`carf-as`, `carf-trace`) build a [`CliSpec`] and interpret the
-//! returned occurrences.
+//! returned occurrences. A binary whose figures sampled windows cannot
+//! supply parses with [`CliSpec::parse_unsampled`], which refuses
+//! `--sample`.
 
 use crate::sample::SampleSpec;
 use crate::Budget;
@@ -221,6 +223,17 @@ impl CliSpec {
             }
             Err(CliError::Bad(msg)) => self.fail(&msg),
         }
+    }
+
+    /// [`CliSpec::parse`] for a binary whose figures sampled windows
+    /// cannot supply: `--sample` fails with exit 2, giving `why`, before
+    /// anything runs.
+    pub fn parse_unsampled(&self, why: &str) -> ParsedCli {
+        let parsed = self.parse();
+        if parsed.budget.sample.is_some() {
+            self.fail(&format!("`--sample` is not supported: {why}"));
+        }
+        parsed
     }
 
     /// [`CliSpec::parse`] on an explicit argument list, without exiting.

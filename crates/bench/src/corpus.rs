@@ -10,7 +10,8 @@
 //! matrix/cache/sampling paths.
 //!
 //! Figs. 1 and 2 share their `--corpus` pipeline here: the options
-//! ([`CORPUS_OPTIONS`]), the uncached value-oracle runs ([`oracle_suites`],
+//! ([`CORPUS_OPTIONS`]), why they refuse `--sample`
+//! ([`ORACLE_UNSAMPLED`]), the uncached value-oracle runs ([`oracle_suites`],
 //! [`oracle_corpus`]) and the `corpus_demographics.json` record
 //! ([`write_demographics`]).
 //!
@@ -210,6 +211,11 @@ pub const CORPUS_OPTIONS: &[OptSpec] = &[
         help: "corpus root (default: corpus/; implies --corpus)",
     },
 ];
+
+/// Why Figs. 1 and 2 refuse `--sample` (see
+/// [`crate::cli::CliSpec::parse_unsampled`]).
+pub const ORACLE_UNSAMPLED: &str =
+    "sampled windows do not carry the value oracle's snapshots, so every fraction would read 0";
 
 /// Interprets [`CORPUS_OPTIONS`]: `Some(root)` when corpus mode is
 /// requested (an explicit directory implies it), `None` otherwise.

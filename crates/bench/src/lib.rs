@@ -125,9 +125,11 @@ impl Budget {
 /// statistics.
 ///
 /// With [`Budget::sample`] set, the run is estimated via checkpointed
-/// interval sampling (see [`sample`]): the returned statistics are the
+/// interval sampling (see [`sample`]): the returned counters are the
 /// exact deltas of the measured windows, so IPC and access-mix consumers
-/// work unchanged at a fraction of the cycle-level work.
+/// work unchanged at a fraction of the cycle-level work. The oracle
+/// snapshots and the Long-file occupancy histogram are not aggregated and
+/// stay empty, so the binaries that report them refuse `--sample`.
 ///
 /// # Panics
 ///

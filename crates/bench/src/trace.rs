@@ -1,10 +1,12 @@
-//! JSON exports of a [`TraceRecorder`]: a Chrome trace-event document of
-//! its cycle window and a flat counters record. The recorder itself holds
-//! no JSON; these read its windowed lifetimes and samples, counters,
-//! histograms and stall buckets through its accessors.
+//! JSON exports of a traced run: a Chrome trace-event document of the
+//! [`TraceRecorder`]'s cycle window and a flat counters record. The
+//! recorder itself holds no JSON; these read its windowed lifetimes and
+//! samples, its dispatch/issue/execute counts, stall buckets and mean
+//! stage latencies through its accessors, and every other count from the
+//! run's [`SimStats`].
 
 use crate::json::{self, Value};
-use carf_sim::{InstTimeline, TraceRecorder};
+use carf_sim::{InstTimeline, SimStats, TraceRecorder};
 
 /// The recorder's window as a Chrome trace-event document
 /// (Perfetto-loadable), one event per line. One simulated cycle maps to
@@ -81,34 +83,42 @@ pub fn chrome_trace(recorder: &TraceRecorder) -> String {
     )
 }
 
-/// The counters, stall buckets and stage-latency means as the members of
-/// one flat record.
-pub fn counters(recorder: &TraceRecorder) -> Vec<(&'static str, Value)> {
+/// The counters, stall buckets and stage-latency means of one traced run
+/// as the members of one flat record. `stats` is the run's own
+/// statistics: they hold every count the recorder does not.
+pub fn counters(recorder: &TraceRecorder, stats: &SimStats) -> Vec<(&'static str, Value)> {
     let c = recorder.counters();
-    let h = recorder.histograms();
+    let l = recorder.latencies();
     let group = |names: &[&str], counts: &[u64]| {
         Value::object(names.iter().zip(counts).map(|(n, v)| (*n, Value::from(*v))))
     };
+    let (d, w) = (&stats.dispatch_stalls, &stats.int_rf.writes);
     vec![
         ("cycles", recorder.cycles().into()),
-        ("fetched", c.fetched.into()),
+        ("fetched", stats.fetched.into()),
         ("dispatched", c.dispatched.into()),
         ("issued", c.issued.into()),
         ("executed", c.executed.into()),
-        ("writebacks", c.writebacks.into()),
-        ("wb_retries", c.wb_retries.into()),
-        ("retired", c.retired.into()),
-        ("squashed", c.squashed.into()),
-        ("long_guard_cycles", c.long_guard_cycles.into()),
-        ("squash_events", group(&["mispredict", "mem_order", "long_recovery"], &c.squash_events)),
+        ("writebacks", (stats.int_rf.total_writes + stats.fp_rf.total_writes).into()),
+        ("wb_retries", stats.wb_long_retries.into()),
+        ("retired", stats.committed.into()),
+        ("squashed", stats.squashed.into()),
+        ("long_guard_cycles", stats.long_guard_stall_cycles.into()),
+        (
+            "squash_events",
+            group(
+                &["mispredict", "mem_order", "long_recovery"],
+                &[stats.mispredicts, stats.mem_dep_violations, stats.deadlock_recoveries],
+            ),
+        ),
         (
             "dispatch_stalls",
-            group(&["rob", "pregs", "lsq", "iq", "checkpoints"], &c.dispatch_stalls),
+            group(
+                &["rob", "pregs", "lsq", "iq", "checkpoints"],
+                &[d.rob, d.pregs, d.lsq, d.iq, d.checkpoints],
+            ),
         ),
-        (
-            "wr1",
-            group(&["simple", "short", "long"], &[c.wr1_simple, c.wr1_short, c.wr1_long]),
-        ),
+        ("wr1", group(&["simple", "short", "long"], &[w.simple, w.short, w.long])),
         (
             "stall_cycles",
             Value::object(
@@ -118,10 +128,10 @@ pub fn counters(recorder: &TraceRecorder) -> Vec<(&'static str, Value)> {
         (
             "latency_means",
             Value::object([
-                ("dispatch_to_issue", Value::fixed(h.dispatch_to_issue.mean(), 3)),
-                ("issue_to_execute", Value::fixed(h.issue_to_execute.mean(), 3)),
-                ("execute_to_retire", Value::fixed(h.execute_to_retire.mean(), 3)),
-                ("dispatch_to_retire", Value::fixed(h.dispatch_to_retire.mean(), 3)),
+                ("dispatch_to_issue", Value::fixed(l.dispatch_to_issue.mean(), 3)),
+                ("issue_to_execute", Value::fixed(l.issue_to_execute.mean(), 3)),
+                ("execute_to_retire", Value::fixed(l.execute_to_retire.mean(), 3)),
+                ("dispatch_to_retire", Value::fixed(l.dispatch_to_retire.mean(), 3)),
             ]),
         ),
     ]
@@ -130,7 +140,6 @@ pub fn counters(recorder: &TraceRecorder) -> Vec<(&'static str, Value)> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use carf_core::ValueClass;
     use carf_isa::{Inst, InstKind, Opcode};
     use carf_sim::{StallCause, TraceEvent, Tracer};
 
@@ -154,7 +163,6 @@ mod tests {
     #[test]
     fn counters_json_is_flat_and_complete() {
         let mut r = TraceRecorder::new();
-        r.event(TraceEvent::Writeback { cycle: 1, seq: 1, class: Some(ValueClass::Short) });
         r.event(TraceEvent::Cycle {
             cycle: 1,
             commits: 0,
@@ -163,7 +171,9 @@ mod tests {
             iq: 0,
             lsq: 0,
         });
-        let json = Value::object(counters(&r)).to_string();
+        let mut stats = SimStats::default();
+        stats.int_rf.writes.short = 1;
+        let json = Value::object(counters(&r, &stats)).to_string();
         assert!(json.starts_with('{') && json.ends_with('}'));
         assert!(json.contains("\"wr1\":{\"simple\":0,\"short\":1,\"long\":0}"));
         assert!(json.contains("\"long_writeback\":1"));

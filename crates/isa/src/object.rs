@@ -424,7 +424,8 @@ pub fn link_with_entry(units: &[ObjectUnit], entry: Option<&str>) -> Result<Prog
     for pair in owners.windows(2) {
         let (a_addr, a_len, a_ui) = pair[0];
         let (b_addr, _, b_ui) = pair[1];
-        if b_addr < a_addr + a_len {
+        // Sorted, so `b_addr >= a_addr`; a sum could pass 2^64.
+        if b_addr - a_addr < a_len {
             return Err(LinkError::DataOverlap {
                 first: units[a_ui].file.clone(),
                 second: units[b_ui].file.clone(),
@@ -529,6 +530,13 @@ mod tests {
             }
             other => panic!("expected data-overlap error, got {other:?}"),
         }
+        // Two blocks ending at the top of the address space.
+        let a = unit(".data 0xfffffffffffffff8\nx: .words 1\n.globl _start\n_start:\n halt", "a.s");
+        let b = unit(".data 0xfffffffffffffff8\ny: .words 2\n", "b.s");
+        assert!(matches!(
+            link(&[a, b]),
+            Err(LinkError::DataOverlap { addr: 0xffff_ffff_ffff_fff8, .. })
+        ));
     }
 
     #[test]

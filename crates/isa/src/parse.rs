@@ -162,8 +162,9 @@ fn parse_unit(source: &str) -> Result<ObjectUnit, ParseAsmError> {
 enum Cursor {
     /// Offset into the unit's relocatable region (linker places it).
     Rel(u64),
-    /// Absolute address (a `.data <base>` directive is in effect).
-    Abs(u64),
+    /// Absolute address (a `.data <base>` directive is in effect);
+    /// `None` once a block has ended at the top of the address space.
+    Abs(Option<u64>),
 }
 
 struct UnitParser {
@@ -230,22 +231,29 @@ impl UnitParser {
         Ok(())
     }
 
-    fn emit_data(&mut self, bytes: Vec<u8>) {
-        let place = match self.cursor {
-            Cursor::Rel(off) => DataPlace::Relative(off),
-            Cursor::Abs(addr) => DataPlace::Absolute(addr),
-        };
-        self.bind_data(place);
+    fn emit_data(&mut self, bytes: Vec<u8>, line: usize) -> Result<(), ParseAsmError> {
+        let len = bytes.len() as u64;
         // The cursor keeps 8-byte alignment, like the builder's allocator.
-        let advance = (bytes.len() as u64 + 7) & !7;
-        match &mut self.cursor {
+        let advance = (len + 7) & !7;
+        let place = match &mut self.cursor {
             Cursor::Rel(off) => {
+                let place = DataPlace::Relative(*off);
                 *off += advance;
                 self.unit.rel_size = self.unit.rel_size.max(*off);
+                place
             }
-            Cursor::Abs(addr) => *addr += advance,
-        }
+            Cursor::Abs(addr) => {
+                // The block's last byte must not lie past 2^64 - 1.
+                let start = addr
+                    .filter(|a| a.checked_add(len.saturating_sub(1)).is_some())
+                    .ok_or_else(|| err(line, "data block runs past the top of the address space"))?;
+                *addr = start.checked_add(advance);
+                DataPlace::Absolute(start)
+            }
+        };
+        self.bind_data(place);
         self.unit.data.push(ObjData { place, bytes });
+        Ok(())
     }
 
     fn directive(&mut self, directive: &str, line: usize) -> Result<(), ParseAsmError> {
@@ -255,7 +263,7 @@ impl UnitParser {
         match name {
             "data" => {
                 if let Some(base) = args.first() {
-                    self.cursor = Cursor::Abs(parse_u64(base, line)?);
+                    self.cursor = Cursor::Abs(Some(parse_u64(base, line)?));
                 }
                 Ok(())
             }
@@ -282,8 +290,7 @@ impl UnitParser {
                 for w in words {
                     bytes.extend_from_slice(&w.to_le_bytes());
                 }
-                self.emit_data(bytes);
-                Ok(())
+                self.emit_data(bytes, line)
             }
             "doubles" => {
                 let vals = args
@@ -294,8 +301,7 @@ impl UnitParser {
                 for v in vals {
                     bytes.extend_from_slice(&v.to_bits().to_le_bytes());
                 }
-                self.emit_data(bytes);
-                Ok(())
+                self.emit_data(bytes, line)
             }
             "bytes" => {
                 // A byte is written unsigned (0..=255) or signed (-128..=-1).
@@ -303,8 +309,7 @@ impl UnitParser {
                     .iter()
                     .map(|a| parse_int(a, line, -128..=255).map(|v| v as u8))
                     .collect::<Result<Vec<u8>, _>>()?;
-                self.emit_data(bytes);
-                Ok(())
+                self.emit_data(bytes, line)
             }
             "zero" => {
                 let count = args.first().ok_or_else(|| err(line, ".zero needs a byte count"))?;
@@ -316,8 +321,7 @@ impl UnitParser {
                         format!("`.zero {count}` takes the file past {MAX_ZERO_BYTES} zeroed bytes"),
                     ));
                 }
-                self.emit_data(vec![0u8; n as usize]);
-                Ok(())
+                self.emit_data(vec![0u8; n as usize], line)
             }
             other => Err(err(line, format!("unknown directive `.{other}`"))),
         }
@@ -847,6 +851,25 @@ mod tests {
         // The corpus's largest block assembles.
         let p = parse_asm("pool: .zero 32000\nhalt").unwrap();
         assert_eq!(p.data.iter().map(|d| d.bytes.len()).sum::<usize>(), 32000);
+    }
+
+    #[test]
+    fn data_blocks_end_at_the_top_of_the_address_space_at_most() {
+        // Running past 2^64 - 1 is a line error (it used to overflow the
+        // data cursor).
+        let e = parse_asm(".data 0xfffffffffffffff8\nw: .words 1 2\nhalt").unwrap_err();
+        assert_eq!(e.line, 2, "{e}");
+        assert!(e.message.contains("top of the address space"), "{e}");
+        // A block that ends exactly at the top fits and loads.
+        let m = run(".data 0xfffffffffffffff8\nw: .words 7\nli x1, w\nld x2, 0(x1)\nhalt");
+        assert_eq!(m.int_reg(x(2)), 7);
+        // After it the cursor is spent: any further block is the error,
+        // until a new `.data` base.
+        for next in [".words 1", ".bytes 1", ".zero 0"] {
+            let src = format!(".data 0xfffffffffffffff8\n.words 7\n{next}\nhalt");
+            assert_eq!(parse_asm(&src).unwrap_err().line, 3, "{next}");
+        }
+        parse_asm(".data 0xfffffffffffffff8\n.words 7\n.data 0x1000\n.words 1\nhalt").unwrap();
     }
 
     #[test]

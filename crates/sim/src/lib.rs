@@ -71,6 +71,6 @@ pub use sim::{AnySimulator, RegFileBackend, SimError, SimResult, Simulator, Warm
 pub use multi::{ContentionStats, FetchArbitration, MultiSim, MultiThreadResult, SharingPolicy};
 pub use stats::{DispatchStalls, OperandMix, OracleData, SimStats};
 pub use trace::{
-    CycleSample, DispatchStallCause, InstTimeline, LatencyHistogram, NopTracer, SquashReason,
-    StageHistograms, StallCause, StallReport, TraceCounters, TraceEvent, TraceRecorder, Tracer,
+    CycleSample, InstTimeline, LatencyMean, NopTracer, StageLatencies, StallCause, StallReport,
+    TraceCounters, TraceEvent, TraceRecorder, Tracer,
 };

@@ -50,11 +50,15 @@ pub struct LsqEntry {
 }
 
 impl LsqEntry {
-    fn range(&self) -> Option<(u64, u64)> {
-        let start = self.addr?;
-        let end = start.checked_add(u64::from(self.size))?;
-        Some((start, end))
+    fn range(&self) -> Option<(u128, u128)> {
+        self.addr.map(|addr| span(addr, self.size))
     }
+}
+
+/// The half-open byte range `[addr, addr + size)`, wide enough that an
+/// access ending at the top of the address space ends at 2^64.
+fn span(addr: u64, size: u8) -> (u128, u128) {
+    (u128::from(addr), u128::from(addr) + u128::from(size))
 }
 
 /// A program-ordered load/store queue (paper Table 1: 64 entries).
@@ -189,7 +193,7 @@ impl LoadStoreQueue {
     /// that already performed against an overlapping address — a memory
     /// dependence violation the pipeline must squash from.
     pub fn store_violation(&self, store_seq: u64, addr: u64, size: u8) -> Option<u64> {
-        let (sstart, send) = (addr, addr.checked_add(u64::from(size))?);
+        let (sstart, send) = span(addr, size);
         let younger = self.entries.partition_point(|e| e.seq <= store_seq);
         self.entries
             .range(younger..)
@@ -423,6 +427,31 @@ mod tests {
         assert_eq!(lsq.len(), 3);
         // The peak remembers the pre-squash high-water mark.
         assert_eq!(lsq.peak_len(), 5);
+    }
+
+    #[test]
+    fn accesses_ending_at_the_top_of_the_address_space() {
+        const TOP: u64 = 0xffff_ffff_ffff_fff8;
+        let mut lsq = LoadStoreQueue::new(8);
+        lsq.try_push(1, false, 8).unwrap();
+        lsq.try_push(2, true, 8).unwrap();
+        lsq.try_push(3, true, 4).unwrap();
+        lsq.set_addr(1, TOP);
+        lsq.set_store_data(1, 0x8877_6655_4433_2211);
+        lsq.set_addr(2, TOP);
+        lsq.set_addr(3, TOP + 4);
+        assert_eq!(lsq.load_decision(2), LoadDecision::Forward(0x8877_6655_4433_2211));
+        assert_eq!(lsq.load_decision(3), LoadDecision::Forward(0x8877_6655));
+
+        // A younger load that went to memory before the store's address
+        // was known is a violation once it resolves.
+        let mut lsq = LoadStoreQueue::new(8);
+        lsq.try_push(1, false, 8).unwrap();
+        lsq.try_push(2, true, 8).unwrap();
+        lsq.set_addr(2, TOP);
+        assert_eq!(lsq.load_decision_with(2, MemDepPolicy::Optimistic), LoadDecision::Memory);
+        lsq.mark_performed(2);
+        assert_eq!(lsq.store_violation(1, TOP, 8), Some(2));
     }
 
     #[test]

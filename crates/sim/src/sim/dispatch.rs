@@ -5,13 +5,6 @@ use super::*;
 impl<R: IntRegFile, T: Tracer> Simulator<R, T> {
     // ----- dispatch (rename) ----------------------------------------------
 
-    #[inline]
-    pub(super) fn dispatch_stall_event(&mut self, cause: DispatchStallCause) {
-        if T::ENABLED {
-            self.tracer.event(TraceEvent::DispatchStall { cycle: self.now, cause });
-        }
-    }
-
     pub(super) fn dispatch(&mut self) {
         for _ in 0..self.config.fetch_width {
             let Some(fetched) = self.fetch_q.front().copied() else { break };
@@ -24,13 +17,11 @@ impl<R: IntRegFile, T: Tracer> Simulator<R, T> {
             // Structural hazards.
             if self.rob.is_full() {
                 self.stats.dispatch_stalls.rob += 1;
-                self.dispatch_stall_event(DispatchStallCause::Rob);
                 break;
             }
             let is_mem = matches!(kind, InstKind::Load | InstKind::Store);
             if is_mem && self.lsq.is_full() {
                 self.stats.dispatch_stalls.lsq += 1;
-                self.dispatch_stall_event(DispatchStallCause::Lsq);
                 break;
             }
             let uses_fp_iq = matches!(kind, InstKind::FpAlu | InstKind::FpDiv);
@@ -40,14 +31,12 @@ impl<R: IntRegFile, T: Tracer> Simulator<R, T> {
                 let cap = if uses_fp_iq { self.config.iq_fp } else { self.config.iq_int };
                 if len >= cap {
                     self.stats.dispatch_stalls.iq += 1;
-                    self.dispatch_stall_event(DispatchStallCause::Iq);
                     break;
                 }
             }
             let takes_checkpoint = matches!(kind, InstKind::Branch | InstKind::JumpReg);
             if takes_checkpoint && self.unresolved_branches >= self.config.checkpoints {
                 self.stats.dispatch_stalls.checkpoints += 1;
-                self.dispatch_stall_event(DispatchStallCause::Checkpoints);
                 break;
             }
             let dest_ref = inst.dest();
@@ -57,7 +46,6 @@ impl<R: IntRegFile, T: Tracer> Simulator<R, T> {
                 || (needs_fp_preg && self.rename.fp_free_count() == 0)
             {
                 self.stats.dispatch_stalls.pregs += 1;
-                self.dispatch_stall_event(DispatchStallCause::Pregs);
                 break;
             }
 

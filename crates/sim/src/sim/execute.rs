@@ -59,7 +59,7 @@ impl<R: IntRegFile, T: Tracer> Simulator<R, T> {
                                 .slot_index(victim)
                                 .expect("violating load is in flight");
                             let target = self.rob[v].pc;
-                            self.squash_younger_than(seq_of(victim) - 1, SquashReason::MemOrder);
+                            self.squash_younger_than(seq_of(victim) - 1);
                             self.redirect_fetch(target);
                         }
                     }
@@ -145,7 +145,7 @@ impl<R: IntRegFile, T: Tracer> Simulator<R, T> {
 
         if let Some(target) = squash_to {
             self.stats.mispredicts += 1;
-            self.squash_younger_than(seq_of(handle), SquashReason::Mispredict);
+            self.squash_younger_than(seq_of(handle));
             self.redirect_fetch(target);
         }
     }

@@ -79,9 +79,6 @@ impl<R: IntRegFile, T: Tracer> Simulator<R, T> {
                 cond_pred,
             });
             self.stats.fetched += 1;
-            if T::ENABLED {
-                self.tracer.event(TraceEvent::Fetch { cycle: self.now, pc });
-            }
             if inst.kind() == InstKind::Halt {
                 self.fetch_wild = true; // nothing meaningful follows
                 break;

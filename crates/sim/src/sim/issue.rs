@@ -117,9 +117,6 @@ impl<R: IntRegFile, T: Tracer> Simulator<R, T> {
         let guard = self.int_rf.should_stall_issue();
         if guard {
             self.stats.long_guard_stall_cycles += 1;
-            if T::ENABLED {
-                self.tracer.event(TraceEvent::LongGuard { cycle: self.now });
-            }
         }
         let oldest = self.rob.front().map(|s| s.handle);
         let capture_cycle = self.now + self.read_stages;

@@ -60,7 +60,7 @@ use crate::fu::FuPool;
 use crate::lsq::{LoadDecision, LoadStoreQueue, MemDepPolicy};
 use crate::rename::{Preg, RenameTables};
 use crate::stats::SimStats;
-use crate::trace::{DispatchStallCause, NopTracer, SquashReason, StallCause, TraceEvent, Tracer};
+use crate::trace::{NopTracer, StallCause, TraceEvent, Tracer};
 use rob::{last_handle_of, seq_of, Rob};
 
 /// Sentinel for "not scheduled yet".

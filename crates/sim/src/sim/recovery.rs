@@ -29,8 +29,7 @@ impl<R: IntRegFile, T: Tracer> Simulator<R, T> {
     /// `keep_seq` is a dispatch number, not a handle: the memory-order
     /// squash keeps everything older than its victim, whose predecessor
     /// may itself be gone.
-    pub(super) fn squash_younger_than(&mut self, keep_seq: u64, reason: SquashReason) {
-        let squashed_before = self.stats.squashed;
+    pub(super) fn squash_younger_than(&mut self, keep_seq: u64) {
         let mut int_map = *self.rename.int_map();
         let mut fp_map = *self.rename.fp_map();
         let bound = last_handle_of(keep_seq);
@@ -64,12 +63,7 @@ impl<R: IntRegFile, T: Tracer> Simulator<R, T> {
         self.rename.set_maps(int_map, fp_map);
         self.lsq.squash_after(bound);
         if T::ENABLED {
-            self.tracer.event(TraceEvent::Squash {
-                cycle: self.now,
-                keep_seq,
-                squashed: self.stats.squashed - squashed_before,
-                reason,
-            });
+            self.tracer.event(TraceEvent::Squash { cycle: self.now, keep_seq });
         }
     }
 }

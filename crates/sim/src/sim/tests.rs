@@ -564,7 +564,7 @@ mod timeline_tests {
     #[test]
     fn timeline_off_outside_the_window() {
         // Lifetimes are kept only for dispatches inside the window, while
-        // the counters still cover the whole run.
+        // the stage latencies still cover the whole run.
         let mut sim = AnySimulator::with_tracer(
             SimConfig::test_small(),
             &countdown(3),
@@ -572,7 +572,7 @@ mod timeline_tests {
         );
         let result = sim.run(100).unwrap();
         assert!(sim.tracer().lifetimes().is_empty());
-        assert_eq!(sim.tracer().counters().retired, result.committed);
+        assert_eq!(sim.tracer().latencies().dispatch_to_retire.count(), result.committed);
     }
 }
 

@@ -33,7 +33,7 @@ impl<R: IntRegFile, T: Tracer> Simulator<R, T> {
                     continue;
                 }
                 match self.int_rf.try_write(dest.new as usize, result, false) {
-                    Ok(class) => {
+                    Ok(_) => {
                         let done = self.now + self.wb_stages;
                         self.rob[idx].state = SlotState::WbGranted;
                         self.rob[idx].wb_done_at = done;
@@ -42,14 +42,6 @@ impl<R: IntRegFile, T: Tracer> Simulator<R, T> {
                         // once their capture cycle reaches `done`.
                         let at = self.now.max(done.saturating_sub(self.read_stages));
                         self.wake_consumers(true, dest.new, at);
-                        if T::ENABLED {
-                            // `class` is the WR1 type-determination outcome.
-                            self.tracer.event(TraceEvent::Writeback {
-                                cycle: self.now,
-                                seq: seq_of(handle),
-                                class,
-                            });
-                        }
                     }
                     Err(_) => {
                         self.stats.wb_long_retries += 1;
@@ -60,12 +52,6 @@ impl<R: IntRegFile, T: Tracer> Simulator<R, T> {
                             recovery = Some(handle);
                         }
                         self.wb_pending.push(handle);
-                        if T::ENABLED {
-                            self.tracer.event(TraceEvent::WritebackRetry {
-                                cycle: self.now,
-                                seq: seq_of(handle),
-                            });
-                        }
                     }
                 }
             } else {
@@ -85,13 +71,6 @@ impl<R: IntRegFile, T: Tracer> Simulator<R, T> {
                 self.fp_pregs[dest.new as usize].in_rf_at = done;
                 let at = self.now.max(done.saturating_sub(self.read_stages));
                 self.wake_consumers(false, dest.new, at);
-                if T::ENABLED {
-                    self.tracer.event(TraceEvent::Writeback {
-                        cycle: self.now,
-                        seq: seq_of(handle),
-                        class: None,
-                    });
-                }
             }
         }
         self.handle_scratch.clear();
@@ -105,7 +84,7 @@ impl<R: IntRegFile, T: Tracer> Simulator<R, T> {
             if self.rob.slot_index(handle).is_some() && youngest != Some(handle) {
                 self.stats.deadlock_recoveries += 1;
                 let redirect = self.next_pc_of(handle);
-                self.squash_younger_than(seq_of(handle), SquashReason::LongRecovery);
+                self.squash_younger_than(seq_of(handle));
                 self.redirect_fetch(redirect);
             }
         }

@@ -6,31 +6,30 @@
 //! no-op simulator contains no tracing code at all and the hot loop stays
 //! allocation-free. Installing a [`TraceRecorder`] (via
 //! [`Simulator::with_tracer`](crate::Simulator::with_tracer)) turns the
-//! same hooks into structured [`TraceEvent`]s, which the recorder folds
-//! into:
+//! same hooks into structured [`TraceEvent`]s, which carry timing only and
+//! which the recorder folds into:
 //!
 //! * a per-cycle **stall attribution**: every simulated cycle is charged
 //!   to exactly one [`StallCause`] bucket (decided by the state of the
 //!   ROB head right after commit), so the buckets always sum to the
 //!   total cycle count — see [`StallReport`];
 //! * **per-instruction lifetimes** (dispatch → issue → execute → retire)
-//!   and log₂ **stage-latency histograms**;
+//!   and mean **stage latencies**;
 //! * per-cycle occupancy **samples** of a bounded cycle window.
+//!
+//! Counts that every run needs — fetches, writebacks and their WR1
+//! type-determination outcomes, Long-file writeback retries, issue-guard
+//! cycles, squashes and dispatch stalls — live in [`crate::SimStats`],
+//! which every run keeps with or without a tracer; the events do not
+//! repeat them.
 //!
 //! The recorder holds no JSON: `carf_bench::trace` exports the windowed
 //! lifetimes and samples as a Chrome trace (loadable in Perfetto or
-//! `chrome://tracing`) and the counters as a flat results record.
-//!
-//! CARF-specific behavior is visible through the same stream: WR1 type
-//! determination outcomes ride on [`TraceEvent::Writeback`], Long-file
-//! writeback starvation on [`TraceEvent::WritebackRetry`], and the issue
-//! guard on [`TraceEvent::LongGuard`]; Short-file alloc/reject/reclaim
-//! and Long-file pointer traffic are mirrored into
-//! [`carf_core::AccessStats`] by the register file itself.
+//! `chrome://tracing`) and, with the run's `SimStats`, the counters as a
+//! flat results record.
 
 use std::collections::BTreeMap;
 
-use carf_core::ValueClass;
 use carf_isa::{Inst, InstKind};
 
 /// Receives structured pipeline events.
@@ -54,33 +53,6 @@ impl Tracer for NopTracer {
 
     #[inline(always)]
     fn event(&mut self, _event: TraceEvent) {}
-}
-
-/// Why dispatch stopped mid-group (mirrors
-/// [`crate::stats::DispatchStalls`]).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum DispatchStallCause {
-    /// Reorder buffer full.
-    Rob,
-    /// No free physical register.
-    Pregs,
-    /// Load/store queue full.
-    Lsq,
-    /// Issue queue full.
-    Iq,
-    /// No branch checkpoint available.
-    Checkpoints,
-}
-
-/// Why in-flight instructions were squashed.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum SquashReason {
-    /// Branch or indirect-jump misprediction.
-    Mispredict,
-    /// Memory-dependence violation (optimistic disambiguation).
-    MemOrder,
-    /// Long-file pseudo-deadlock recovery flush.
-    LongRecovery,
 }
 
 /// The single bucket each simulated cycle is charged to.
@@ -163,13 +135,6 @@ impl StallCause {
 /// One structured pipeline event.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum TraceEvent {
-    /// An instruction entered the fetch queue (possibly wrong-path).
-    Fetch {
-        /// Cycle of the event.
-        cycle: u64,
-        /// Instruction address.
-        pc: u64,
-    },
     /// An instruction was renamed into the ROB.
     Dispatch {
         /// Cycle of the event.
@@ -183,13 +148,6 @@ pub enum TraceEvent {
         /// Its kind.
         kind: InstKind,
     },
-    /// Dispatch stopped mid-group on a structural hazard.
-    DispatchStall {
-        /// Cycle of the event.
-        cycle: u64,
-        /// The hazard.
-        cause: DispatchStallCause,
-    },
     /// An instruction was selected for execution.
     Issue {
         /// Cycle of the event.
@@ -200,24 +158,6 @@ pub enum TraceEvent {
     /// An instruction produced its result (or finished address
     /// generation, for memory ops).
     Execute {
-        /// Cycle of the event.
-        cycle: u64,
-        /// Sequence number.
-        seq: u64,
-    },
-    /// A register write was granted. For integer writes on the
-    /// content-aware file, `class` carries the WR1 type-determination
-    /// outcome (`None` for FP writes or the baseline file).
-    Writeback {
-        /// Cycle of the event.
-        cycle: u64,
-        /// Sequence number.
-        seq: u64,
-        /// WR1 outcome, when known.
-        class: Option<ValueClass>,
-    },
-    /// An integer write was deferred by a full Long file.
-    WritebackRetry {
         /// Cycle of the event.
         cycle: u64,
         /// Sequence number.
@@ -238,15 +178,6 @@ pub enum TraceEvent {
         cycle: u64,
         /// Oldest surviving sequence number.
         keep_seq: u64,
-        /// Instructions removed from the ROB.
-        squashed: u64,
-        /// Why.
-        reason: SquashReason,
-    },
-    /// The Long-file issue guard stalled selection this cycle.
-    LongGuard {
-        /// Cycle of the event.
-        cycle: u64,
     },
     /// End-of-cycle summary: emitted exactly once per simulated cycle,
     /// carrying the attribution verdict and occupancy samples.
@@ -266,24 +197,15 @@ pub enum TraceEvent {
     },
 }
 
-/// Log₂-bucketed latency histogram (bucket `i` holds latencies in
-/// `[2^(i-1), 2^i)`, with bucket 0 for zero-cycle latencies; the last
-/// bucket is open-ended).
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct LatencyHistogram {
-    buckets: [u64; 16],
+/// The mean of a stream of latencies, in cycles.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct LatencyMean {
     count: u64,
     sum: u64,
 }
 
-impl LatencyHistogram {
+impl LatencyMean {
     fn record(&mut self, latency: u64) {
-        let idx = if latency == 0 {
-            0
-        } else {
-            (64 - latency.leading_zeros() as usize).min(self.buckets.len() - 1)
-        };
-        self.buckets[idx] += 1;
         self.count += 1;
         self.sum += latency;
     }
@@ -301,68 +223,31 @@ impl LatencyHistogram {
             self.sum as f64 / self.count as f64
         }
     }
-
-    /// The raw buckets (see the type-level doc for bucket boundaries).
-    pub fn buckets(&self) -> &[u64] {
-        &self.buckets
-    }
-
-    /// Human-readable label for bucket `i`, e.g. `"3-4"`.
-    pub fn bucket_label(i: usize) -> String {
-        match i {
-            0 => "0".into(),
-            1 => "1".into(),
-            2 => "2".into(),
-            15 => format!("{}+", 1u64 << 14),
-            _ => format!("{}-{}", 1u64 << (i - 1), (1u64 << i) - 1),
-        }
-    }
 }
 
-/// Per-stage latency histograms over retired instructions.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct StageHistograms {
+/// Per-stage mean latencies over retired instructions.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct StageLatencies {
     /// Dispatch → issue (queue wait). Only instructions that issued.
-    pub dispatch_to_issue: LatencyHistogram,
+    pub dispatch_to_issue: LatencyMean,
     /// Issue → execute (read + execute latency).
-    pub issue_to_execute: LatencyHistogram,
+    pub issue_to_execute: LatencyMean,
     /// Execute → retire (writeback + commit wait).
-    pub execute_to_retire: LatencyHistogram,
+    pub execute_to_retire: LatencyMean,
     /// Dispatch → retire (whole in-window lifetime).
-    pub dispatch_to_retire: LatencyHistogram,
+    pub dispatch_to_retire: LatencyMean,
 }
 
-/// Aggregate event counters.
+/// The event counts only the tracer sees; every other count is in
+/// [`crate::SimStats`].
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct TraceCounters {
-    /// Instructions fetched (including wrong-path).
-    pub fetched: u64,
     /// Instructions dispatched into the ROB.
     pub dispatched: u64,
     /// Issue selections.
     pub issued: u64,
     /// Execution completions.
     pub executed: u64,
-    /// Granted register writebacks.
-    pub writebacks: u64,
-    /// Writeback retries forced by a full Long file.
-    pub wb_retries: u64,
-    /// Retired instructions.
-    pub retired: u64,
-    /// Squashed instructions.
-    pub squashed: u64,
-    /// Squash floods by reason: [mispredict, mem-order, long-recovery].
-    pub squash_events: [u64; 3],
-    /// Cycles the Long-file issue guard was active.
-    pub long_guard_cycles: u64,
-    /// Dispatch stall events by cause: [rob, pregs, lsq, iq, checkpoints].
-    pub dispatch_stalls: [u64; 5],
-    /// WR1 outcomes that classified the result as simple.
-    pub wr1_simple: u64,
-    /// WR1 outcomes that classified the result as short.
-    pub wr1_short: u64,
-    /// WR1 outcomes that classified the result as long.
-    pub wr1_long: u64,
 }
 
 /// Stage-by-stage timing of one retired instruction, as folded from the
@@ -429,7 +314,7 @@ pub struct TraceRecorder {
     inflight: BTreeMap<u64, InstTimeline>,
     slices: Vec<InstTimeline>,
     samples: Vec<CycleSample>,
-    histograms: StageHistograms,
+    latencies: StageLatencies,
 }
 
 impl Default for TraceRecorder {
@@ -444,7 +329,7 @@ impl TraceRecorder {
 
     /// A recorder whose trace window covers the first
     /// [`Self::DEFAULT_WINDOW`] cycles. Attribution, counters, and
-    /// histograms always cover the whole run regardless of the window.
+    /// latencies always cover the whole run regardless of the window.
     pub fn new() -> Self {
         Self::with_window(0, Self::DEFAULT_WINDOW)
     }
@@ -461,7 +346,7 @@ impl TraceRecorder {
             inflight: BTreeMap::new(),
             slices: Vec::new(),
             samples: Vec::new(),
-            histograms: StageHistograms::default(),
+            latencies: StageLatencies::default(),
         }
     }
 
@@ -479,14 +364,14 @@ impl TraceRecorder {
         self.total_cycles
     }
 
-    /// The aggregate event counters.
+    /// The dispatch, issue and execute counts.
     pub fn counters(&self) -> &TraceCounters {
         &self.counters
     }
 
-    /// The stage-latency histograms over retired instructions.
-    pub fn histograms(&self) -> &StageHistograms {
-        &self.histograms
+    /// The mean stage latencies over retired instructions.
+    pub fn latencies(&self) -> &StageLatencies {
+        &self.latencies
     }
 
     /// The lifetimes of retired instructions dispatched inside the
@@ -511,7 +396,6 @@ impl TraceRecorder {
 impl Tracer for TraceRecorder {
     fn event(&mut self, event: TraceEvent) {
         match event {
-            TraceEvent::Fetch { .. } => self.counters.fetched += 1,
             TraceEvent::Dispatch { cycle, seq, pc, inst, .. } => {
                 self.counters.dispatched += 1;
                 self.inflight.insert(
@@ -526,9 +410,6 @@ impl Tracer for TraceRecorder {
                         committed: 0,
                     },
                 );
-            }
-            TraceEvent::DispatchStall { cause, .. } => {
-                self.counters.dispatch_stalls[cause as usize] += 1;
             }
             TraceEvent::Issue { cycle, seq } => {
                 self.counters.issued += 1;
@@ -545,34 +426,23 @@ impl Tracer for TraceRecorder {
                     life.executed = cycle;
                 }
             }
-            TraceEvent::Writeback { class, .. } => {
-                self.counters.writebacks += 1;
-                match class {
-                    Some(ValueClass::Simple) => self.counters.wr1_simple += 1,
-                    Some(ValueClass::Short) => self.counters.wr1_short += 1,
-                    Some(ValueClass::Long) => self.counters.wr1_long += 1,
-                    None => {}
-                }
-            }
-            TraceEvent::WritebackRetry { .. } => self.counters.wb_retries += 1,
             TraceEvent::Retire { cycle, seq, .. } => {
-                self.counters.retired += 1;
                 if let Some(mut life) = self.inflight.remove(&seq) {
                     life.committed = cycle;
                     if life.issued > 0 {
-                        self.histograms
+                        self.latencies
                             .dispatch_to_issue
                             .record(life.issued.saturating_sub(life.dispatched));
                         if life.executed > 0 {
-                            self.histograms
+                            self.latencies
                                 .issue_to_execute
                                 .record(life.executed.saturating_sub(life.issued));
-                            self.histograms
+                            self.latencies
                                 .execute_to_retire
                                 .record(cycle.saturating_sub(life.executed));
                         }
                     }
-                    self.histograms
+                    self.latencies
                         .dispatch_to_retire
                         .record(cycle.saturating_sub(life.dispatched));
                     if self.in_window(life.dispatched) {
@@ -580,13 +450,10 @@ impl Tracer for TraceRecorder {
                     }
                 }
             }
-            TraceEvent::Squash { keep_seq, squashed, reason, .. } => {
-                self.counters.squashed += squashed;
-                self.counters.squash_events[reason as usize] += 1;
+            TraceEvent::Squash { keep_seq, .. } => {
                 // Drop the flushed tail of in-flight lifetimes.
                 self.inflight.split_off(&(keep_seq + 1));
             }
-            TraceEvent::LongGuard { .. } => self.counters.long_guard_cycles += 1,
             TraceEvent::Cycle { cycle, commits, cause, rob, iq, lsq } => {
                 self.total_cycles += 1;
                 self.buckets[cause.index()] += 1;
@@ -664,9 +531,10 @@ mod tests {
         r.event(TraceEvent::Issue { cycle: 3, seq: 1 });
         r.event(TraceEvent::Execute { cycle: 6, seq: 1 });
         r.event(TraceEvent::Retire { cycle: 9, seq: 1, pc: 0 });
-        assert_eq!(r.counters().retired, 1);
-        assert_eq!(r.histograms().dispatch_to_issue.count(), 1);
-        assert!((r.histograms().dispatch_to_retire.mean() - 8.0).abs() < 1e-12);
+        let c = r.counters();
+        assert_eq!((c.dispatched, c.issued, c.executed), (1, 1, 1));
+        assert_eq!(r.latencies().dispatch_to_issue.count(), 1);
+        assert!((r.latencies().dispatch_to_retire.mean() - 8.0).abs() < 1e-12);
         let life = r.lifetimes()[0];
         assert_eq!((life.dispatched, life.issued, life.executed, life.committed), (1, 3, 6, 9));
     }
@@ -683,18 +551,12 @@ mod tests {
                 kind: InstKind::IntAlu,
             });
         }
-        r.event(TraceEvent::Squash {
-            cycle: 6,
-            keep_seq: 2,
-            squashed: 3,
-            reason: SquashReason::Mispredict,
-        });
-        assert_eq!(r.counters().squashed, 3);
+        r.event(TraceEvent::Squash { cycle: 6, keep_seq: 2 });
         assert_eq!(r.inflight.len(), 2);
         // Survivors still retire normally.
         r.event(TraceEvent::Retire { cycle: 7, seq: 1, pc: 0 });
         r.event(TraceEvent::Retire { cycle: 7, seq: 2, pc: 0 });
-        assert_eq!(r.counters().retired, 2);
+        assert_eq!(r.lifetimes().len(), 2);
         assert!(r.inflight.is_empty());
     }
 
@@ -715,23 +577,7 @@ mod tests {
         // Only the seq-2 lifetime (dispatched at 12) is in the window.
         assert_eq!(r.slices.len(), 1);
         assert_eq!(r.slices[0].seq, 2);
-        // Histograms still cover everything.
-        assert_eq!(r.histograms().dispatch_to_retire.count(), 2);
-    }
-
-    #[test]
-    fn histogram_buckets_are_log2() {
-        let mut h = LatencyHistogram::default();
-        for lat in [0u64, 1, 2, 3, 4, 5, 100_000] {
-            h.record(lat);
-        }
-        assert_eq!(h.count(), 7);
-        assert_eq!(h.buckets()[0], 1); // 0
-        assert_eq!(h.buckets()[1], 1); // 1
-        assert_eq!(h.buckets()[2], 2); // 2, 3
-        assert_eq!(h.buckets()[3], 2); // 4, 5
-        assert_eq!(h.buckets()[15], 1); // overflow
-        assert_eq!(LatencyHistogram::bucket_label(3), "4-7");
-        assert_eq!(LatencyHistogram::bucket_label(15), "16384+");
+        // Latencies still cover everything.
+        assert_eq!(r.latencies().dispatch_to_retire.count(), 2);
     }
 }

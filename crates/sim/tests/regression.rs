@@ -189,9 +189,6 @@ fn traced_run_matches_pinned_fingerprint() {
             untraced.cycles,
             "stall buckets must sum to total cycles:\n{report}"
         );
-        assert_eq!(recorder.counters().retired, untraced.committed);
-        assert_eq!(recorder.counters().fetched, untraced.fetched);
-        assert_eq!(recorder.counters().squashed, untraced.squashed);
     }
 }
 

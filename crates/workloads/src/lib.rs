@@ -33,7 +33,6 @@
 //! # Ok::<(), Box<dyn std::error::Error>>(())
 //! ```
 
-mod adversarial;
 mod extended;
 mod fp;
 mod gen;
@@ -41,7 +40,6 @@ mod int;
 mod random;
 mod suite;
 
-pub use adversarial::adversarial_suite;
 pub use extended::extended_suite;
 pub use random::{random_program, RandomProgramParams};
 pub use suite::{all_workloads, fp_suite, int_suite, SizeClass, Suite, Workload};

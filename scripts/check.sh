@@ -39,6 +39,23 @@ CARF_RESULTS_DIR="$TRACE_DIR" \
 for f in trace_counters.json traces/sort_kernel_base.json traces/sort_kernel_carf.json; do
     python3 -c "import json, sys; json.load(open(sys.argv[1]))" "$TRACE_DIR/$f"
 done
+# Each counters record's shape: its members in order, stall buckets that
+# sum to the cycle count, and no more instructions retired than dispatched.
+python3 - "$TRACE_DIR/trace_counters.json" <<'EOF'
+import json, sys
+members = ["bin", "workload", "machine", "budget", "cycles", "fetched", "dispatched",
+           "issued", "executed", "writebacks", "wb_retries", "retired", "squashed",
+           "long_guard_cycles", "squash_events", "dispatch_stalls", "wr1",
+           "stall_cycles", "latency_means"]
+records = json.load(open(sys.argv[1]))
+assert records, "no counters record"
+for r in records:
+    point = f"{r.get('workload')}/{r.get('machine')}"
+    assert list(r) == members, f"{point}: members {list(r)}"
+    assert sum(r["stall_cycles"].values()) == r["cycles"], f"{point}: buckets do not sum to cycles"
+    assert r["retired"] <= r["dispatched"], f"{point}: retired more than dispatched"
+print(f"trace counters: {len(records)} records, shape checked")
+EOF
 
 echo "==> compare_backends smoke test (backend zoo, cold then warm cache)"
 # All four register-file backends (baseline, CARF, compressed,

@@ -296,3 +296,62 @@ fn carf_as_rejects_a_runaway_program_before_simulating() {
     assert!(!stderr.contains("panicked"), "{stderr}");
     assert!(!wrote_anything, "a rejected program must leave no record or cache entry");
 }
+
+#[test]
+fn accesses_ending_at_the_top_of_memory_run_to_halt_on_every_machine() {
+    // A load, and a store forwarded to a load, whose last byte is the top
+    // of the address space: their LSQ ranges end at 2^64, which must not
+    // read as an address not yet known.
+    let dir = std::env::temp_dir().join(format!("carf-as-top-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).expect("temp dir");
+    let top = dir.join("top.s");
+    let stld = dir.join("stld.s");
+    std::fs::write(&top, "ld x1, 0xfffffffffffffff8(x0)\nhalt\n").expect("temp source");
+    let store_then_load =
+        "li x2, 0xfffffffffffffff8\nli x3, 42\nst x3, 0(x2)\nld x1, 0(x2)\nhalt\n";
+    std::fs::write(&stld, store_then_load).expect("temp source");
+    let out = std::process::Command::new(env!("CARGO_BIN_EXE_carf-as"))
+        .args([top.to_str().expect("utf-8 path"), stld.to_str().expect("utf-8 path")])
+        .args(["--machine", "all", "--cosim", "--quick", "--jobs", "1"])
+        .env("CARF_RESULTS_DIR", dir.join("results"))
+        .env_remove("CARF_CACHE")
+        .env_remove("CARF_CACHE_REQUIRE_WARM")
+        .output()
+        .expect("carf-as runs");
+    let _ = std::fs::remove_dir_all(&dir);
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(0), "stderr:\n{stderr}");
+    // One row per machine, committing what the functional executor retires.
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    for (program, committed) in [("top", "2"), ("stld", "5")] {
+        let rows: Vec<&str> = stdout
+            .lines()
+            .filter_map(|l| {
+                let mut cols = l.split_whitespace();
+                (cols.next() == Some(program)).then(|| cols.next().unwrap_or(""))
+            })
+            .collect();
+        assert_eq!(rows, [committed; 4], "{program}:\n{stdout}");
+    }
+}
+
+#[test]
+fn binaries_whose_figures_sampling_cannot_supply_refuse_sample() {
+    for (bin, why) in [
+        (env!("CARGO_BIN_EXE_fig1_value_distribution"), "value oracle's snapshots"),
+        (env!("CARGO_BIN_EXE_fig2_similarity"), "value oracle's snapshots"),
+        (env!("CARGO_BIN_EXE_ext_smt_sharing"), "Long-file occupancy histogram"),
+    ] {
+        let out = std::process::Command::new(bin)
+            .args(["--quick", "--jobs", "1", "--sample"])
+            .env_remove("CARF_CACHE_REQUIRE_WARM")
+            .output()
+            .expect("binary runs");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{bin}; stderr:\n{stderr}");
+        assert!(stderr.contains("`--sample` is not supported") && stderr.contains(why), "{stderr}");
+        // Refused before anything simulates: not even the header is printed.
+        assert!(out.stdout.is_empty(), "{bin}: {}", String::from_utf8_lossy(&out.stdout));
+    }
+}
