@@ -11,9 +11,12 @@
 //! exits nonzero when any workload's sampled IPC misses the full-run IPC
 //! by more than `max(CI95, TOL × full)` — the statistical bound when the
 //! intervals have spread, the loose floor when a homogeneous kernel's
-//! intervals are all alike — or when a sampled run simulated more than the
-//! spec's detail bound of instructions cycle-level. Per-workload results
-//! land in `results/sample_quality.json`.
+//! intervals are all alike — or when a sampled run simulated a different
+//! number of instructions cycle-level than the spec schedules for that
+//! run's length ([`SampleSpec::detail_insts`]). The header's "detail
+//! bound" is the spec's long-run fraction, which a run shorter than many
+//! periods can exceed. Per-workload results land in
+//! `results/sample_quality.json`.
 
 use carf_bench::cli::{parse_suites, CliSpec, MachineSet, OptSpec};
 use carf_bench::json::Value;
@@ -170,13 +173,12 @@ fn main() {
                     p.full_ipc
                 ));
             }
-            if p.sampled.detail_fraction() > spec.detail_bound() + 1e-9 {
+            let scheduled = spec.detail_insts(p.sampled.total_insts, budget.max_insts);
+            if p.sampled.detailed_insts != scheduled {
                 failures.push(format!(
-                    "{}/{}: detail fraction {:.1}% exceeds the spec bound {:.1}%",
-                    p.machine,
-                    p.workload,
-                    p.sampled.detail_fraction() * 100.0,
-                    spec.detail_bound() * 100.0
+                    "{}/{}: simulated {} instructions cycle-level, but the spec schedules \
+                     {scheduled} for a run of {}",
+                    p.machine, p.workload, p.sampled.detailed_insts, p.sampled.total_insts
                 ));
             }
         }

@@ -13,11 +13,16 @@
 //!
 //! The sampled IPC estimate is Σ committed / Σ cycles over the measured
 //! intervals; the per-interval IPC spread gives a 95% confidence interval
-//! (`1.96·sd/√K`). The detailed fraction is bounded by
+//! (`1.96·sd/√K`). The detailed fraction tends to
 //! `(warmup + interval) / (period · interval)` — 17.5% at the defaults —
-//! so a sampled run does at most a fifth of the cycle-level work.
+//! as a run grows, but it is not a bound: the first window has no warm-up
+//! and a run rarely spans a whole number of periods, so a short run can
+//! exceed it (a 500k-instruction run at the defaults simulates 17.8%).
+//! [`SampleSpec::detail_insts`] gives the exact count for a run's length.
 
-use carf_isa::{DecodedProgram, ExecError, ExecObserver, Machine, NullObserver, Program};
+use carf_isa::{
+    DecodedProgram, ExecError, ExecObserver, Machine, NullObserver, Program, ProgramImage,
+};
 use carf_sim::{AnySimulator, SimConfig, SimStats, WarmEvent, WarmState};
 use carf_workloads::Workload;
 
@@ -69,7 +74,8 @@ impl SampleSpec {
                 .ok_or_else(|| format!("`--sample` {name} expects a positive integer, got `{v}`"))
         };
         let out = Self { interval: num("interval", i)?, period: num("period", p)?, warmup: num("warmup", w)? };
-        // The gap below and `detail_bound` multiply no more than this.
+        // The gap below, `detail_bound` and `detail_insts` multiply no
+        // more than this.
         if out.interval.checked_mul(out.period).is_none() {
             return Err(format!(
                 "`--sample` interval * period ({} * {}) overflows a 64-bit count",
@@ -87,9 +93,36 @@ impl SampleSpec {
         Ok(out)
     }
 
-    /// Upper bound on the fraction of instructions simulated cycle-level.
+    /// The long-run fraction of instructions simulated cycle-level,
+    /// `(warmup + interval) / (period · interval)`. A description, not a
+    /// bound: [`SampleSpec::detail_insts`] is the exact count for one run.
     pub fn detail_bound(&self) -> f64 {
         (self.warmup + self.interval) as f64 / (self.period * self.interval) as f64
+    }
+
+    /// Instructions a sampled run simulates cycle-level when the program
+    /// retires `total_insts` under a cap of `max_insts`: the sum, over the
+    /// measured windows that start before the cap and whose warm-up
+    /// starts before the program ends, of each window's span from its
+    /// warm-up start to its end, `min(start + interval, total)`. The
+    /// first window starts at 0 with no warm-up, and a program that halts
+    /// during a window's warm-up still simulates that warm-up.
+    pub fn detail_insts(&self, total_insts: u64, max_insts: u64) -> u64 {
+        let stride = self.interval * self.period;
+        let mut detailed = 0;
+        let mut start = 0u64;
+        while start < max_insts {
+            let warm_start = start.saturating_sub(self.warmup);
+            if warm_start >= total_insts {
+                break;
+            }
+            detailed += start.saturating_add(self.interval).min(total_insts) - warm_start;
+            match start.checked_add(stride) {
+                Some(next) => start = next,
+                None => break,
+            }
+        }
+        detailed
     }
 
     /// A compact `I/P/W` tag for report headers.
@@ -299,10 +332,13 @@ fn add_window_delta(agg: &mut SimStats, before: &SimStats, after: &SimStats) {
 /// sampled estimate.
 ///
 /// Each measured interval seeds a fresh simulator from a functional
-/// checkpoint ([`AnySimulator::from_checkpoint`]), warms it for
-/// [`SampleSpec::warmup`] instructions, then measures. Every simulated
-/// window runs with whatever co-simulation setting `config` carries, so a
-/// sampled run keeps the golden-model safety net.
+/// checkpoint ([`AnySimulator::from_checkpoint_in`]), warms it for
+/// [`SampleSpec::warmup`] instructions, then measures. The program's
+/// fingerprint and initial data image are computed once per run (one
+/// [`ProgramImage`]), so a window costs one checkpoint diff, one memory
+/// restore and one copy of the warm state. Every simulated window runs
+/// with whatever co-simulation setting `config` carries, so a sampled run
+/// keeps the golden-model safety net.
 ///
 /// # Errors
 ///
@@ -315,6 +351,7 @@ pub fn run_program_sampled(
     spec: &SampleSpec,
     max_insts: u64,
 ) -> Result<SampledRun, String> {
+    let image = ProgramImage::new(program);
     let decoded = DecodedProgram::decode(program);
     let mut m = Machine::load(program);
     let mut warm = WarmState::new(config);
@@ -337,8 +374,8 @@ pub fn run_program_sampled(
             if m.retired() < warm_start {
                 break; // program ended before this interval
             }
-            let ckpt = m.checkpoint(program);
-            let mut sim = AnySimulator::from_checkpoint(config.clone(), program, &ckpt)
+            let ckpt = m.checkpoint_in(&image);
+            let mut sim = AnySimulator::from_checkpoint_in(config.clone(), &image, &ckpt)
                 .map_err(|e| format!("checkpoint restore failed: {e}"))?;
             sim.install_warm_state(&warm); // functionally warmed caches/bpred
             sim.run_exact(start).map_err(|e| format!("warm-up window failed: {e}"))?;
@@ -433,6 +470,55 @@ mod tests {
     }
 
     #[test]
+    fn detail_insts_counts_what_the_spec_schedules() {
+        // 30k windows every 120k with a 5k warm-up: a 30k window at 0 and
+        // a full 35k window at 120k, 32.5% of a 200k run against the
+        // long-run 29.2%.
+        let coarse = SampleSpec::parse("30000/4/5000").unwrap();
+        assert_eq!(coarse.detail_insts(200_000, 200_000), 65_000);
+        assert!(coarse.detail_insts(200_000, 200_000) as f64 / 200_000.0 > coarse.detail_bound());
+        // The default spec: 5k at 0, then 7k at every 40k.
+        let spec = SampleSpec::default();
+        assert_eq!(spec.detail_insts(500_000, 500_000), 89_000);
+        assert_eq!(spec.detail_insts(1_000_000, 1_000_000), 173_000);
+        // A window the cap cuts short counts up to the cap.
+        assert_eq!(spec.detail_insts(42_000, 42_000), 5_000 + 4_000);
+        assert_eq!(spec.detail_insts(0, 500_000), 0);
+        // Near the top of the 64-bit count: the second window starts at
+        // 2^64 - 2 and ends with the run, and no third one is scheduled.
+        let huge = SampleSpec { interval: u64::MAX / 2, period: 2, warmup: 1 };
+        assert_eq!(huge.detail_insts(u64::MAX, u64::MAX), u64::MAX / 2 + 2);
+    }
+
+    /// A counting loop that retires `2 * n + 3` instructions, then halts.
+    fn halting_program(n: u64) -> Program {
+        use carf_isa::{x, Asm};
+        let mut asm = Asm::new();
+        asm.li(x(1), 0);
+        asm.li(x(2), n);
+        asm.label("loop");
+        asm.addi(x(1), x(1), 1);
+        asm.bne(x(1), x(2), "loop");
+        asm.halt();
+        asm.finish().expect("assembly")
+    }
+
+    #[test]
+    fn runs_that_halt_simulate_what_the_spec_schedules() {
+        let spec = SampleSpec { interval: 1_000, period: 4, warmup: 500 };
+        let config = carf_sim::SimConfig::test_small();
+        // Halts at 8,501, inside the window at 8,000; then at 11,801, in
+        // the warm-up of the window at 12,000, which never measures.
+        for (n, total, detailed) in [(4_249, 8_501, 1_000 + 1_500 + 1_001), (5_899, 11_801, 4_301)] {
+            let program = halting_program(n);
+            let run = run_program_sampled(&config, &program, &spec, 100_000).expect("sampled run");
+            assert_eq!(run.total_insts, total);
+            assert_eq!(run.detailed_insts, detailed, "n = {n}");
+            assert_eq!(spec.detail_insts(run.total_insts, 100_000), run.detailed_insts, "n = {n}");
+        }
+    }
+
+    #[test]
     fn sampled_run_estimates_full_ipc() {
         let spec = SampleSpec { interval: 2_000, period: 4, warmup: 1_000 };
         let config = carf_sim::SimConfig::test_small();
@@ -518,6 +604,54 @@ mod tests {
         assert_eq!(Value::fixed(f64::NAN, 4).to_string(), "null");
         assert_eq!(Value::fixed(f64::INFINITY, 4).to_string(), "null");
         assert_eq!(Value::fixed(f64::NEG_INFINITY, 4).to_string(), "null");
+    }
+
+    /// The sampled statistics of three kernels on both machines, pinned
+    /// across commits: `(stats_hash, windows, total_insts,
+    /// detailed_insts, memory counters folded)`. A change to the sampling
+    /// driver, the checkpoint path or functional warming that moves any
+    /// sampled number fails here, not only in the benchmark's digest.
+    #[test]
+    fn sampled_statistics_are_pinned() {
+        const PINNED: [(&str, &str, u64, usize, u64, u64, u64); 6] = [
+            ("pointer_chase", "base", 0xe8fd_a955_3b71_1328, 5, 200_000, 33_000, 0xef61_7207_8131_b6b4),
+            ("pointer_chase", "carf", 0xc3c9_79b8_10b6_daa5, 5, 200_000, 33_000, 0x6867_6787_7a6a_38a7),
+            ("sparse_update", "base", 0x9dc4_0c4a_b6e6_7dfe, 5, 200_000, 33_000, 0x3a03_6397_55ce_964e),
+            ("sparse_update", "carf", 0x39d4_a6e0_3658_0fa8, 5, 200_000, 33_000, 0xc67c_87e8_bd89_8e91),
+            ("matvec", "base", 0xb479_2702_c965_bba3, 5, 200_000, 33_000, 0x7716_e82c_2233_c267),
+            ("matvec", "carf", 0x99e2_bae5_0787_d7b2, 5, 200_000, 33_000, 0x3140_964c_6fdc_583a),
+        ];
+        let machines = [
+            ("base", SimConfig::paper_baseline()),
+            ("carf", SimConfig::paper_carf(carf_core::CarfParams::paper_default())),
+        ];
+        let workloads = carf_workloads::all_workloads();
+        let mut got = Vec::new();
+        for (name, machine, ..) in PINNED {
+            let w = workloads.iter().find(|w| w.name == name).expect("pinned kernel");
+            let config = &machines.iter().find(|(m, _)| *m == machine).expect("machine").1;
+            let program = w.build(w.size(SizeClass::Quick));
+            let run = run_program_sampled(config, &program, &SampleSpec::default(), 200_000)
+                .expect("sampled run");
+            let m = &run.stats.mem;
+            let mem = [m.il1, m.dl1, m.l2]
+                .iter()
+                .flat_map(|c| [c.hits, c.misses, c.writebacks])
+                .chain([m.memory_accesses])
+                .fold(0xcbf2_9ce4_8422_2325u64, |h, v| {
+                    (h ^ v).wrapping_mul(0x0000_0100_0000_01b3)
+                });
+            got.push((
+                name,
+                machine,
+                crate::fingerprint::stats_hash(&run.stats),
+                run.intervals.len(),
+                run.total_insts,
+                run.detailed_insts,
+                mem,
+            ));
+        }
+        assert_eq!(got, PINNED);
     }
 
     #[test]

@@ -16,6 +16,12 @@
 //! one (see `carf-sim`). Round trips are bit-identical — the property the
 //! sampling driver's validity rests on, pinned by [`Checkpoint::fingerprint`]
 //! equality tests.
+//!
+//! Capture diffs against, and restore starts from, a [`ProgramImage`]: the
+//! program's fingerprint and initial data image, computed once. A driver
+//! that takes many checkpoints of one program (the sampling driver takes
+//! one per measured window) builds the image once and passes it to the
+//! `_in` variants; the `&Program` forms build a fresh image per call.
 
 use crate::encode::encode;
 use crate::program::Program;
@@ -49,6 +55,49 @@ pub fn program_fingerprint(program: &Program) -> u64 {
         h = fold_bytes(h, &seg.bytes);
     }
     h
+}
+
+/// A program's identity and initial data image, computed once and shared
+/// by every checkpoint captured or restored against the program.
+///
+/// [`program_fingerprint`] is a byte-serial pass over the whole program
+/// and loading the data image allocates every page it touches, so a
+/// driver that checkpoints one program many times builds one image
+/// rather than paying both per capture and per restore. The image borrows
+/// the program it was built from, so it cannot outlive it.
+#[derive(Debug, Clone)]
+pub struct ProgramImage<'p> {
+    program: &'p Program,
+    fingerprint: u64,
+    data: SparseMemory,
+}
+
+impl<'p> ProgramImage<'p> {
+    /// Fingerprints `program` and loads its initial data image.
+    pub fn new(program: &'p Program) -> Self {
+        let mut data = SparseMemory::new();
+        program.load_data(&mut data);
+        Self { program, fingerprint: program_fingerprint(program), data }
+    }
+
+    /// The program this image was built from.
+    pub fn program(&self) -> &'p Program {
+        self.program
+    }
+
+    /// Reconstructs `ckpt`'s full memory image: a copy of the initial data
+    /// image with the checkpoint's delta applied.
+    ///
+    /// # Errors
+    ///
+    /// Refuses a checkpoint captured against a program with another
+    /// fingerprint.
+    pub fn restore_memory(&self, ckpt: &Checkpoint) -> Result<SparseMemory, CheckpointMismatch> {
+        ckpt.check_fingerprint(self.fingerprint)?;
+        let mut mem = self.data.clone();
+        mem.apply_delta(&ckpt.mem);
+        Ok(mem)
+    }
 }
 
 /// Restoring a checkpoint against the wrong program.
@@ -93,8 +142,8 @@ pub struct Checkpoint {
 
 impl Checkpoint {
     /// Builds a checkpoint from raw architectural state. `mem` is diffed
-    /// against `program`'s initial data image; both executors use this
-    /// one constructor so their checkpoints are comparable bit for bit.
+    /// against `image`'s initial data image; both executors use this one
+    /// constructor so their checkpoints are comparable bit for bit.
     pub fn from_parts(
         regs: [u64; 32],
         fregs: [u64; 32],
@@ -102,43 +151,33 @@ impl Checkpoint {
         retired: u64,
         halted: bool,
         mem: &SparseMemory,
-        program: &Program,
+        image: &ProgramImage,
     ) -> Self {
-        let mut base = SparseMemory::new();
-        program.load_data(&mut base);
         Self {
             regs,
             fregs,
             pc,
             retired,
             halted,
-            program_fp: program_fingerprint(program),
-            mem: mem.delta_from(&base),
+            program_fp: image.fingerprint,
+            mem: mem.delta_from(&image.data),
         }
     }
 
     /// Reconstructs the full memory image: the program's initial data
-    /// image with the delta applied.
+    /// image with the delta applied (see [`ProgramImage::restore_memory`]).
     ///
     /// # Errors
     ///
     /// Refuses a `program` whose fingerprint differs from the one the
     /// checkpoint was captured against.
     pub fn restore_memory(&self, program: &Program) -> Result<SparseMemory, CheckpointMismatch> {
-        self.check_program(program)?;
-        let mut mem = SparseMemory::new();
-        program.load_data(&mut mem);
-        mem.apply_delta(&self.mem);
-        Ok(mem)
+        ProgramImage::new(program).restore_memory(self)
     }
 
-    /// Validates that `program` is the one this checkpoint belongs to.
-    ///
-    /// # Errors
-    ///
-    /// Returns the fingerprint pair on mismatch.
-    pub fn check_program(&self, program: &Program) -> Result<(), CheckpointMismatch> {
-        let got = program_fingerprint(program);
+    /// The restore guard: refuses a program whose fingerprint `got`
+    /// differs from the one this checkpoint was captured against.
+    fn check_fingerprint(&self, got: u64) -> Result<(), CheckpointMismatch> {
         if got != self.program_fp {
             return Err(CheckpointMismatch { expected: self.program_fp, got });
         }
@@ -233,7 +272,28 @@ mod tests {
         let ckpt = m.checkpoint(&a);
         assert!(Machine::from_checkpoint(&b, &ckpt).is_err());
         assert!(ckpt.restore_memory(&b).is_err());
-        assert!(ckpt.check_program(&a).is_ok());
+        assert!(ckpt.restore_memory(&a).is_ok());
+    }
+
+    #[test]
+    fn one_image_serves_every_capture_and_restore() {
+        let p = counting_program(40);
+        let image = ProgramImage::new(&p);
+        assert_eq!(image.fingerprint, program_fingerprint(&p));
+        let mut m = Machine::load(&p);
+        for budget in [0, 7, 19, 30] {
+            let _ = m.run(&p, budget);
+            let ckpt = m.checkpoint_in(&image);
+            assert_eq!(ckpt.fingerprint(), m.checkpoint(&p).fingerprint());
+            let restored = Machine::from_checkpoint_in(&image, &ckpt).expect("same program");
+            assert_eq!(restored.checkpoint_in(&image).fingerprint(), ckpt.fingerprint());
+        }
+        // The guard holds on the image path too.
+        let other = counting_program(41);
+        let foreign = Machine::load(&other).checkpoint(&other);
+        let err = image.restore_memory(&foreign).expect_err("different program");
+        assert_eq!(err, CheckpointMismatch { expected: program_fingerprint(&other), got: image.fingerprint });
+        assert!(Machine::from_checkpoint_in(&image, &foreign).is_err());
     }
 
     #[test]

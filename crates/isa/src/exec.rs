@@ -5,7 +5,7 @@
 //! `carf-sim` co-simulates against it at commit, checking that every retired
 //! instruction wrote the same destination value.
 
-use crate::checkpoint::{Checkpoint, CheckpointMismatch};
+use crate::checkpoint::{Checkpoint, CheckpointMismatch, ProgramImage};
 use crate::decoded::{DecodedOp, DecodedProgram};
 use crate::inst::{Inst, InstKind, Opcode};
 use crate::program::{Program, INST_BYTES};
@@ -484,6 +484,12 @@ impl Machine {
     /// [`Checkpoint`]). `program` must be the program the machine is
     /// running; its initial data image is the delta base.
     pub fn checkpoint(&self, program: &Program) -> Checkpoint {
+        self.checkpoint_in(&ProgramImage::new(program))
+    }
+
+    /// [`Machine::checkpoint`] against a prebuilt [`ProgramImage`] of the
+    /// program the machine is running.
+    pub fn checkpoint_in(&self, image: &ProgramImage) -> Checkpoint {
         Checkpoint::from_parts(
             self.regs,
             self.fregs.map(f64::to_bits),
@@ -491,7 +497,7 @@ impl Machine {
             self.retired,
             self.halted,
             &self.mem,
-            program,
+            image,
         )
     }
 
@@ -506,7 +512,19 @@ impl Machine {
         program: &Program,
         ckpt: &Checkpoint,
     ) -> Result<Self, CheckpointMismatch> {
-        let mem = ckpt.restore_memory(program)?;
+        Self::from_checkpoint_in(&ProgramImage::new(program), ckpt)
+    }
+
+    /// [`Machine::from_checkpoint`] from a prebuilt [`ProgramImage`].
+    ///
+    /// # Errors
+    ///
+    /// As [`Machine::from_checkpoint`].
+    pub fn from_checkpoint_in(
+        image: &ProgramImage,
+        ckpt: &Checkpoint,
+    ) -> Result<Self, CheckpointMismatch> {
+        let mem = image.restore_memory(ckpt)?;
         Ok(Self {
             regs: ckpt.regs,
             fregs: ckpt.fregs.map(f64::from_bits),

@@ -57,7 +57,7 @@ mod reg;
 pub mod semantics;
 
 pub use asm::{Asm, AsmError, DEFAULT_DATA_BASE};
-pub use checkpoint::{program_fingerprint, Checkpoint, CheckpointMismatch};
+pub use checkpoint::{program_fingerprint, Checkpoint, CheckpointMismatch, ProgramImage};
 pub use decoded::{DecodedOp, DecodedProgram};
 pub use encode::{decode, encode, DecodeInstError};
 pub use exec::{ExecError, ExecObserver, Machine, NullObserver, Retired, StepOutcome};

@@ -95,6 +95,13 @@ struct Way {
 /// lookup, fills on miss, and reports whether a dirty victim was evicted so
 /// a hierarchy can charge the write-back.
 ///
+/// The `sets × assoc` ways live in one flat, set-major array: set `s`
+/// owns ways `s·assoc .. (s+1)·assoc`. Building a cache is one
+/// allocation and cloning one is one copy, which is what a sampled run
+/// pays per measured window when it copies the functionally warmed
+/// hierarchy into a fresh simulator (the paper's 1 MB L2 alone has 4,096
+/// sets).
+///
 /// # Example
 ///
 /// ```
@@ -107,7 +114,7 @@ struct Way {
 #[derive(Debug, Clone)]
 pub struct Cache {
     config: CacheConfig,
-    sets: Vec<Vec<Way>>,
+    ways: Vec<Way>,
     stats: CacheStats,
     clock: u64,
     offset_bits: u32,
@@ -133,7 +140,7 @@ impl Cache {
         assert!(sets.is_power_of_two(), "set count must be a power of two");
         Self {
             config,
-            sets: vec![vec![Way::default(); config.assoc]; sets],
+            ways: vec![Way::default(); sets * config.assoc],
             stats: CacheStats::default(),
             clock: 0,
             offset_bits: config.line_bytes.trailing_zeros(),
@@ -151,11 +158,6 @@ impl Cache {
         &self.stats
     }
 
-    /// Resets statistics without disturbing cache contents.
-    pub fn reset_stats(&mut self) {
-        self.stats = CacheStats::default();
-    }
-
     fn split(&self, addr: u64) -> (u64, usize) {
         let line = addr >> self.offset_bits;
         let index = (line & ((1 << self.index_bits) - 1)) as usize;
@@ -167,44 +169,50 @@ impl Cache {
         ((tag << self.index_bits) | index as u64) << self.offset_bits
     }
 
+    /// The ways of set `index`.
+    fn set(&self, index: usize) -> &[Way] {
+        let assoc = self.config.assoc;
+        &self.ways[index * assoc..(index + 1) * assoc]
+    }
+
+    fn set_mut(&mut self, index: usize) -> &mut [Way] {
+        let assoc = self.config.assoc;
+        &mut self.ways[index * assoc..(index + 1) * assoc]
+    }
+
     /// Looks up (and on miss, fills) the line containing `addr`.
     ///
     /// `is_write` marks the line dirty on a store. Returns the residency
     /// outcome, including the base address of any dirty victim.
     pub fn access(&mut self, addr: u64, is_write: bool) -> LineState {
         self.clock += 1;
+        let clock = self.clock;
         let (tag, index) = self.split(addr);
+        let set = self.set_mut(index);
 
-        if let Some(way) =
-            self.sets[index].iter_mut().find(|w| w.valid && w.tag == tag)
-        {
-            way.stamp = self.clock;
+        if let Some(way) = set.iter_mut().find(|w| w.valid && w.tag == tag) {
+            way.stamp = clock;
             way.dirty |= is_write;
             self.stats.hits += 1;
             return LineState::Hit;
         }
 
-        self.stats.misses += 1;
         // Victim: an invalid way if any, else the least recently used.
-        let victim = match self.sets[index].iter().position(|w| !w.valid) {
+        let victim = match set.iter().position(|w| !w.valid) {
             Some(i) => i,
-            None => self.sets[index]
+            None => set
                 .iter()
                 .enumerate()
                 .min_by_key(|(_, w)| w.stamp)
                 .map(|(i, _)| i)
                 .expect("set has at least one way"),
         };
-        let evicted = {
-            let w = self.sets[index][victim];
-            if w.valid && w.dirty {
-                Some(self.line_base(w.tag, index))
-            } else {
-                None
-            }
-        };
-        self.sets[index][victim] =
-            Way { tag, valid: true, dirty: is_write, stamp: self.clock };
+        let old = std::mem::replace(
+            &mut set[victim],
+            Way { tag, valid: true, dirty: is_write, stamp: clock },
+        );
+        self.stats.misses += 1;
+        let evicted = (old.valid && old.dirty).then(|| self.line_base(old.tag, index));
         match evicted {
             Some(base) => {
                 self.stats.writebacks += 1;
@@ -218,16 +226,7 @@ impl Cache {
     /// touching LRU state or statistics.
     pub fn probe(&self, addr: u64) -> bool {
         let (tag, index) = self.split(addr);
-        self.sets[index].iter().any(|w| w.valid && w.tag == tag)
-    }
-
-    /// Invalidates every line and clears dirtiness (statistics survive).
-    pub fn flush(&mut self) {
-        for set in &mut self.sets {
-            for way in set.iter_mut() {
-                *way = Way::default();
-            }
-        }
+        self.set(index).iter().any(|w| w.valid && w.tag == tag)
     }
 }
 
@@ -308,15 +307,6 @@ mod tests {
         c.access(0x40, false); // LRU is still 0x00
         assert!(!c.probe(0x00));
         assert!(c.probe(0x20));
-    }
-
-    #[test]
-    fn flush_invalidates_everything() {
-        let mut c = tiny();
-        c.access(0x00, true);
-        c.flush();
-        assert!(!c.probe(0x00));
-        assert_eq!(c.access(0x00, false), LineState::Miss); // no dirty victim
     }
 
     #[test]

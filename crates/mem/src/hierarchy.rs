@@ -197,17 +197,6 @@ impl MemoryHierarchy {
         };
         HierarchyStats { il1: *self.il1.stats(), dl1: *self.dl1.stats(), l2, memory_accesses }
     }
-
-    /// Clears statistics but keeps cache contents (for warm-up discard).
-    pub fn reset_stats(&mut self) {
-        self.il1.reset_stats();
-        self.dl1.reset_stats();
-        self.l2.reset_stats();
-        self.memory_accesses = 0;
-        if let Some(shared) = &self.shared_l2 {
-            shared.reset_stats();
-        }
-    }
 }
 
 impl Default for MemoryHierarchy {
@@ -325,15 +314,6 @@ mod tests {
         assert_eq!(h.data_access(0x1000, false), 1 + 10 + 100);
         assert_eq!(h.data_access(0x1000, false), 1);
         assert!(h.shared_l2().is_none());
-    }
-
-    #[test]
-    fn reset_stats_keeps_contents() {
-        let mut h = MemoryHierarchy::new(HierarchyConfig::paper());
-        h.data_access(0x3000, false);
-        h.reset_stats();
-        assert_eq!(h.stats().dl1.misses, 0);
-        assert_eq!(h.data_access(0x3000, false), 1); // still resident
     }
 }
 

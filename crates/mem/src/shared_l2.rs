@@ -75,13 +75,6 @@ impl SharedL2Handle {
         (*inner.l2.stats(), inner.memory_accesses)
     }
 
-    /// Clears the aggregate counters but keeps the tag contents.
-    pub fn reset_stats(&self) {
-        let mut inner = self.inner.lock().expect("shared L2 poisoned");
-        inner.l2.reset_stats();
-        inner.memory_accesses = 0;
-    }
-
     /// Number of sharers holding a clone of this handle.
     pub fn sharers(&self) -> usize {
         Arc::strong_count(&self.inner)
@@ -114,15 +107,5 @@ mod tests {
         let l2 = tiny();
         l2.absorb_victim(0x40);
         assert_eq!(l2.access(0x40, false), 4); // resident now
-    }
-
-    #[test]
-    fn reset_keeps_contents() {
-        let l2 = tiny();
-        l2.access(0x2000, false);
-        l2.reset_stats();
-        let (stats, dram) = l2.stats();
-        assert_eq!((stats.hits, stats.misses, dram), (0, 0, 0));
-        assert_eq!(l2.access(0x2000, false), 4);
     }
 }

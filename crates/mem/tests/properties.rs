@@ -1,6 +1,9 @@
 //! Property-based tests of the memory substrate.
 
-use carf_mem::{Cache, CacheConfig, MemoryHierarchy, HierarchyConfig, PortMeter, SparseMemory};
+use carf_mem::{
+    Cache, CacheConfig, CacheStats, HierarchyConfig, LineState, MemoryHierarchy, PortMeter,
+    SparseMemory,
+};
 use proptest::prelude::*;
 use std::collections::HashMap;
 
@@ -168,5 +171,121 @@ proptest! {
             forward.delta_from(&base).fold_fnv1a(seed),
             backward.delta_from(&base).fold_fnv1a(seed)
         );
+    }
+}
+
+/// The cache algorithm as it was written with one `Vec<Way>` per set,
+/// kept as the reference for the flat set-major array: look the tag up in
+/// its set, else fill the first invalid way or the least recently used.
+struct ReferenceCache {
+    sets: Vec<Vec<RefWay>>,
+    stats: CacheStats,
+    clock: u64,
+    offset_bits: u32,
+    index_bits: u32,
+}
+
+#[derive(Clone, Copy, Default)]
+struct RefWay {
+    tag: u64,
+    valid: bool,
+    dirty: bool,
+    stamp: u64,
+}
+
+impl ReferenceCache {
+    fn new(config: CacheConfig) -> Self {
+        Self {
+            sets: vec![vec![RefWay::default(); config.assoc]; config.sets()],
+            stats: CacheStats::default(),
+            clock: 0,
+            offset_bits: config.line_bytes.trailing_zeros(),
+            index_bits: config.sets().trailing_zeros(),
+        }
+    }
+
+    fn access(&mut self, addr: u64, is_write: bool) -> LineState {
+        self.clock += 1;
+        let line = addr >> self.offset_bits;
+        let index = (line & ((1 << self.index_bits) - 1)) as usize;
+        let tag = line >> self.index_bits;
+        let set = &mut self.sets[index];
+        if let Some(way) = set.iter_mut().find(|w| w.valid && w.tag == tag) {
+            way.stamp = self.clock;
+            way.dirty |= is_write;
+            self.stats.hits += 1;
+            return LineState::Hit;
+        }
+        self.stats.misses += 1;
+        let victim = match set.iter().position(|w| !w.valid) {
+            Some(i) => i,
+            None => set.iter().enumerate().min_by_key(|(_, w)| w.stamp).map(|(i, _)| i).unwrap(),
+        };
+        let old = set[victim];
+        set[victim] = RefWay { tag, valid: true, dirty: is_write, stamp: self.clock };
+        if old.valid && old.dirty {
+            self.stats.writebacks += 1;
+            LineState::MissDirtyEviction(((old.tag << self.index_bits) | index as u64) << self.offset_bits)
+        } else {
+            LineState::Miss
+        }
+    }
+}
+
+/// Reads and writes confined to a few sets of `config` (the first, the
+/// last and two between), each drawing from three times as many tags as
+/// the set has ways, at any byte of the line: every set sees hits, fills
+/// into invalid ways, LRU evictions and dirty victims.
+fn arb_set_stream(config: CacheConfig) -> impl Strategy<Value = Vec<(u64, bool)>> {
+    let sets = config.sets() as u64;
+    let line = config.line_bytes as u64;
+    let chosen = [0, 1, sets / 2 + 1, sets - 1];
+    let tags = 3 * config.assoc as u64;
+    let addr = (0usize..chosen.len(), 0..tags, 0..line).prop_map(move |(s, tag, offset)| {
+        (tag * sets + chosen[s]) * line + offset
+    });
+    proptest::collection::vec((addr, any::<bool>()), 1..400)
+}
+
+fn check_against_reference(config: CacheConfig, stream: &[(u64, bool)]) {
+    let mut cache = Cache::new(config);
+    let mut reference = ReferenceCache::new(config);
+    for (i, &(addr, is_write)) in stream.iter().enumerate() {
+        assert_eq!(
+            cache.access(addr, is_write),
+            reference.access(addr, is_write),
+            "access {i} of {addr:#x} (write {is_write})"
+        );
+    }
+    assert_eq!(*cache.stats(), reference.stats);
+    // Residency at the end agrees line by line.
+    for &(addr, _) in stream {
+        let line = addr >> reference.offset_bits;
+        let set = &reference.sets[(line & ((1 << reference.index_bits) - 1)) as usize];
+        let resident = set.iter().any(|w| w.valid && w.tag == line >> reference.index_bits);
+        assert_eq!(cache.probe(addr), resident, "{addr:#x}");
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    #[test]
+    fn flat_cache_matches_the_per_set_reference_on_a_tiny_geometry(
+        stream in arb_set_stream(CacheConfig { size_bytes: 256, assoc: 2, line_bytes: 16, latency: 1 }),
+    ) {
+        check_against_reference(
+            CacheConfig { size_bytes: 256, assoc: 2, line_bytes: 16, latency: 1 },
+            &stream,
+        );
+    }
+
+    #[test]
+    fn flat_cache_matches_the_per_set_reference_on_the_papers_geometry(
+        dl1 in arb_set_stream(CacheConfig::paper_dl1()),
+        l2 in arb_set_stream(CacheConfig::paper_l2()),
+    ) {
+        check_against_reference(CacheConfig::paper_dl1(), &dl1);
+        check_against_reference(CacheConfig::paper_l2(), &l2);
     }
 }

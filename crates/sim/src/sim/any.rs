@@ -69,29 +69,43 @@ impl AnySimulator {
         Self::with_tracer(config, program, NopTracer)
     }
 
-    /// See [`Simulator::from_checkpoint`]; the backend is named by
-    /// `config.regfile`.
+    /// [`AnySimulator::from_checkpoint_in`] with a [`ProgramImage`] built
+    /// for this one call.
     ///
     /// # Errors
     ///
-    /// As [`Simulator::from_checkpoint`].
+    /// As [`Simulator::from_checkpoint_in`].
     pub fn from_checkpoint(
         config: SimConfig,
         program: &Program,
         ckpt: &Checkpoint,
     ) -> Result<Self, SimError> {
+        Self::from_checkpoint_in(config, &ProgramImage::new(program), ckpt)
+    }
+
+    /// See [`Simulator::from_checkpoint_in`]; the backend is named by
+    /// `config.regfile`.
+    ///
+    /// # Errors
+    ///
+    /// As [`Simulator::from_checkpoint_in`].
+    pub fn from_checkpoint_in(
+        config: SimConfig,
+        image: &ProgramImage,
+        ckpt: &Checkpoint,
+    ) -> Result<Self, SimError> {
         Ok(match &config.regfile {
             RegFileKind::Baseline => AnySimulator::Baseline(Box::new(
-                Simulator::from_checkpoint(config, program, ckpt)?,
+                Simulator::from_checkpoint_in(config, image, ckpt)?,
             )),
             RegFileKind::ContentAware(..) => AnySimulator::ContentAware(Box::new(
-                Simulator::from_checkpoint(config, program, ckpt)?,
+                Simulator::from_checkpoint_in(config, image, ckpt)?,
             )),
             RegFileKind::Compressed(..) => AnySimulator::Compressed(Box::new(
-                Simulator::from_checkpoint(config, program, ckpt)?,
+                Simulator::from_checkpoint_in(config, image, ckpt)?,
             )),
             RegFileKind::PortReduced(..) => AnySimulator::PortReduced(Box::new(
-                Simulator::from_checkpoint(config, program, ckpt)?,
+                Simulator::from_checkpoint_in(config, image, ckpt)?,
             )),
         })
     }

@@ -51,7 +51,9 @@ use carf_isa::semantics::{
     eval_branch, eval_fp_alu, eval_fp_to_int, eval_int_alu, eval_int_to_fp, extend_load,
     load_width, store_bytes, store_width, LoadWidth,
 };
-use carf_isa::{Checkpoint, Inst, InstKind, Machine, Opcode, Program, StepOutcome, INST_BYTES};
+use carf_isa::{
+    Checkpoint, Inst, InstKind, Machine, Opcode, Program, ProgramImage, StepOutcome, INST_BYTES,
+};
 use carf_mem::{MemoryHierarchy, PortMeter, SparseMemory};
 
 use crate::bpred::{BranchPredictor, CondPrediction};
@@ -501,8 +503,8 @@ impl RegFileBackend for PortReducedRegFile {
     }
 }
 
-/// One event of a fast-forwarded (functionally executed) region, replayed
-/// through [`Simulator::warm`] to bring cold cache and branch-predictor
+/// One event of a fast-forwarded (functionally executed) region, applied
+/// through [`WarmState::apply`] to bring cold cache and branch-predictor
 /// state up to date before a measured interval. Produced by an
 /// [`carf_isa::ExecObserver`] wired into the decoded fast-forward loop.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -554,10 +556,27 @@ pub enum WarmEvent {
 /// truth on exactly the workloads with the largest footprints. One
 /// warm state spanning the run gives every window the same long access
 /// memory the straight-through machine has.
+///
+/// A fetch to the IL1 line the previous fetch touched is skipped, which
+/// removes most fetch events (straight-line code fetches each 64-byte
+/// line many times in a row) and is exact:
+/// - only fetches access the IL1: data accesses go to the DL1, the
+///   hierarchy is non-inclusive, so an L2 eviction never invalidates an
+///   IL1 line, and fetches never dirty a line;
+/// - so the repeated line is still resident and the repeat fetch is a
+///   hit, which touches nothing below the IL1;
+/// - that hit only gives the line, already the most recent in its set, a
+///   newer LRU stamp (every set keeps its order) and counts one more IL1
+///   hit. The skipped hits are the only difference an installed state
+///   carries, and a sampling driver's window deltas cancel them.
 #[derive(Debug, Clone)]
 pub struct WarmState {
     hier: MemoryHierarchy,
     bpred: BranchPredictor,
+    /// `log2` of the IL1 line size.
+    il1_line_shift: u32,
+    /// The IL1 line of the last fetch applied (`None` before the first).
+    last_fetch_line: Option<u64>,
 }
 
 impl WarmState {
@@ -567,15 +586,23 @@ impl WarmState {
         Self {
             hier: MemoryHierarchy::new(config.hierarchy),
             bpred: BranchPredictor::new(&config.bpred),
+            il1_line_shift: config.hierarchy.il1.line_bytes.trailing_zeros(),
+            last_fetch_line: None,
         }
     }
 
     /// Applies one fast-forwarded event: a cache access down the
-    /// hierarchy, or a predict/train round of the branch predictor.
+    /// hierarchy (skipped for a fetch to the previous fetch's IL1 line,
+    /// see the type docs), or a predict/train round of the branch
+    /// predictor.
     pub fn apply(&mut self, event: WarmEvent) {
         match event {
             WarmEvent::Fetch { pc } => {
-                self.hier.fetch_latency(pc);
+                let line = pc >> self.il1_line_shift;
+                if self.last_fetch_line != Some(line) {
+                    self.last_fetch_line = Some(line);
+                    self.hier.fetch_latency(pc);
+                }
             }
             WarmEvent::Data { addr, is_write } => {
                 self.hier.data_access(addr, is_write);
@@ -604,10 +631,12 @@ impl<R: RegFileBackend> Simulator<R> {
 
     /// Builds an untraced machine whose architectural state — registers,
     /// memory, PC, retired count — is seeded from `ckpt` instead of the
-    /// program's reset state. The microarchitectural state (caches, branch
-    /// predictor, register-file placement history) starts cold, exactly as
-    /// at reset; sampled-simulation drivers warm it with a detailed warm-up
-    /// window before measuring.
+    /// program's reset state, with `image` the [`ProgramImage`] of the
+    /// program `ckpt` was captured from: the machine is built around the
+    /// memory restored from the image. The microarchitectural state
+    /// (caches, branch predictor, register-file placement history) starts
+    /// cold, exactly as at reset; sampled-simulation drivers warm it with
+    /// a detailed warm-up window before measuring.
     ///
     /// # Errors
     ///
@@ -615,15 +644,19 @@ impl<R: RegFileBackend> Simulator<R> {
     /// program, or when the register-file organization refuses a
     /// checkpointed value (impossible for organizations whose Long file
     /// covers all 32 architectural registers, as the paper's does).
-    pub fn from_checkpoint(
+    pub fn from_checkpoint_in(
         config: SimConfig,
-        program: &Program,
+        image: &ProgramImage,
         ckpt: &Checkpoint,
     ) -> Result<Self, SimError> {
         let internal = |detail: String| SimError::Internal { cycle: 0, detail };
-        let mem = ckpt.restore_memory(program).map_err(|e| internal(e.to_string()))?;
-        let mut sim = Self::new(config, program);
-        sim.mem = mem;
+        let mem = image.restore_memory(ckpt).map_err(|e| internal(e.to_string()))?;
+        let golden = if config.cosim {
+            Some(Machine::from_checkpoint_in(image, ckpt).map_err(|e| internal(e.to_string()))?)
+        } else {
+            None
+        };
+        let mut sim = Self::build(config, image.program(), mem, golden, NopTracer);
         // Re-seed the 32 architectural registers with the checkpointed
         // values. Placement is value-dependent for the content-aware file,
         // so go through the full release/alloc/write sequence rather than
@@ -650,10 +683,6 @@ impl<R: RegFileBackend> Simulator<R> {
         sim.commit_next_pc = ckpt.pc;
         sim.retired_base = ckpt.retired;
         sim.halted = ckpt.halted;
-        if sim.golden.is_some() {
-            sim.golden =
-                Some(Machine::from_checkpoint(program, ckpt).map_err(|e| internal(e.to_string()))?);
-        }
         Ok(sim)
     }
 }
@@ -661,6 +690,22 @@ impl<R: RegFileBackend> Simulator<R> {
 impl<R: RegFileBackend, T: Tracer> Simulator<R, T> {
     /// Builds a machine that reports pipeline events to `tracer`.
     pub fn with_tracer(config: SimConfig, program: &Program, tracer: T) -> Self {
+        let mut mem = SparseMemory::new();
+        program.load_data(&mut mem);
+        let golden = config.cosim.then(|| Machine::load(program));
+        Self::build(config, program, mem, golden, tracer)
+    }
+
+    /// A reset-state pipeline around `mem` (the committed memory image)
+    /// and `golden` (the co-simulation reference, present iff
+    /// `config.cosim`), with the PC at the program's entry.
+    fn build(
+        config: SimConfig,
+        program: &Program,
+        mem: SparseMemory,
+        golden: Option<Machine>,
+        tracer: T,
+    ) -> Self {
         let int_rf = R::from_config(&config);
         let read_stages = u64::from(int_rf.read_stages());
         let wb_stages = u64::from(int_rf.writeback_stages());
@@ -670,9 +715,6 @@ impl<R: RegFileBackend, T: Tracer> Simulator<R, T> {
         let int_read_ports = int_rf.read_port_limit().unwrap_or(config.rf_read_ports);
 
         let rename = RenameTables::new(config.int_pregs, config.fp_pregs);
-
-        let mut mem = SparseMemory::new();
-        program.load_data(&mut mem);
 
         let mut sim = Self {
             now: 0,
@@ -717,7 +759,7 @@ impl<R: RegFileBackend, T: Tracer> Simulator<R, T> {
             commit_fp_rat: std::array::from_fn(|i| i as Preg),
             rob_interval_count: 0,
             last_commit_cycle: 0,
-            golden: config.cosim.then(|| Machine::load(program)),
+            golden,
             commit_limit: None,
             commit_next_pc: program.entry,
             retired_base: 0,
@@ -903,7 +945,7 @@ impl<R: IntRegFile, T: Tracer> Simulator<R, T> {
             self.retired_base + self.stats.committed,
             self.halted,
             &self.mem,
-            &self.program,
+            &ProgramImage::new(&self.program),
         )
     }
 
@@ -916,13 +958,14 @@ impl<R: IntRegFile, T: Tracer> Simulator<R, T> {
 
     /// Installs functionally warmed cache and branch-predictor state (see
     /// [`WarmState`]), replacing this simulator's cold structures. Call
-    /// right after [`Simulator::from_checkpoint`], before running: a
+    /// right after [`Simulator::from_checkpoint_in`], before running: a
     /// measured interval then starts with the microarchitectural memory
     /// of every instruction the fast-forward skipped, not a cold machine.
     ///
     /// Only caches and predictor state change — nothing architectural, no
     /// pipeline activity, no cycles. The absolute hit/miss and prediction
-    /// counters carried in by the warm state are harmless to a sampling
+    /// counters carried in by the warm state (its IL1 hit count short by
+    /// the repeat-line fetches it skipped) are harmless to a sampling
     /// driver, which deltas statistics around the measured window anyway.
     pub fn install_warm_state(&mut self, warm: &WarmState) {
         self.hier = warm.hier.clone();

@@ -668,3 +668,87 @@ mod memdep_tests {
         );
     }
 }
+
+#[cfg(test)]
+mod warm_tests {
+    use crate::sim::*;
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
+
+    /// Code lines sit in the low 4 KiB, data over 16 KiB: both cover every
+    /// set of the tiny hierarchy's caches (8 L1 sets, 64 L2 sets), and the
+    /// two streams meet in the L2.
+    const CODE: std::ops::Range<u64> = 0x0..0x1000;
+    const DATA: std::ops::Range<u64> = 0x0..0x4000;
+
+    /// One random event: mostly straight-line fetches (the next
+    /// instruction, so runs of fetches share a line) with jumps, and loads
+    /// and stores at random addresses.
+    fn event(rng: &mut StdRng, pc: &mut u64) -> WarmEvent {
+        if rng.gen_bool(0.7) {
+            *pc = if rng.gen_bool(0.9) && *pc + 4 < CODE.end {
+                *pc + 4
+            } else {
+                4 * rng.gen_range(CODE.start / 4..CODE.end / 4)
+            };
+            WarmEvent::Fetch { pc: *pc }
+        } else {
+            WarmEvent::Data { addr: rng.gen_range(DATA), is_write: rng.gen_bool(0.3) }
+        }
+    }
+
+    fn access(h: &mut MemoryHierarchy, event: WarmEvent) -> u32 {
+        match event {
+            WarmEvent::Fetch { pc } => h.fetch_latency(pc),
+            WarmEvent::Data { addr, is_write } => h.data_access(addr, is_write),
+            _ => unreachable!("only cache events are generated"),
+        }
+    }
+
+    /// Skipping a fetch to the previous fetch's IL1 line leaves the warmed
+    /// hierarchy indistinguishable from one that saw every event: every
+    /// later access costs the same, and the IL1 hit count is short by
+    /// exactly the skipped fetches.
+    #[test]
+    fn warm_state_skips_repeat_line_fetches_exactly() {
+        let config = SimConfig::test_small();
+        let line_bytes = config.hierarchy.il1.line_bytes as u64;
+        for seed in 0..16 {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let mut warm = WarmState::new(&config);
+            let mut every = MemoryHierarchy::new(config.hierarchy);
+            let (mut pc, mut last_line, mut repeats) = (CODE.start, None, 0u64);
+            for _ in 0..4_000 {
+                let e = event(&mut rng, &mut pc);
+                if let WarmEvent::Fetch { pc } = e {
+                    repeats += u64::from(last_line == Some(pc / line_bytes));
+                    last_line = Some(pc / line_bytes);
+                }
+                warm.apply(e);
+                access(&mut every, e);
+            }
+            assert!(repeats > 1_000, "seed {seed}: only {repeats} repeat fetches");
+            let (w, e) = (warm.hier.stats(), every.stats());
+            assert_eq!(w.il1.hits + repeats, e.il1.hits, "seed {seed}");
+            assert_eq!(
+                (w.il1.misses, w.il1.writebacks, w.dl1, w.l2, w.memory_accesses),
+                (e.il1.misses, e.il1.writebacks, e.dl1, e.l2, e.memory_accesses),
+                "seed {seed}"
+            );
+
+            // Follow-up: random events over the same lines, then a sweep
+            // over four times the L2's capacity, which evicts every set of
+            // every level. Both hierarchies see every access.
+            let l2_bytes = config.hierarchy.l2.size_bytes as u64;
+            let follow = (0..4_000)
+                .map(|_| event(&mut rng, &mut pc))
+                .chain((0..4 * l2_bytes).step_by(line_bytes as usize).flat_map(|a| {
+                    [WarmEvent::Fetch { pc: a }, WarmEvent::Data { addr: a + 8, is_write: a % 3 == 0 }]
+                }));
+            for (i, e) in follow.enumerate() {
+                let (got, want) = (access(&mut warm.hier, e), access(&mut every, e));
+                assert_eq!(got, want, "seed {seed}: follow-up access {i} ({e:?})");
+            }
+        }
+    }
+}

@@ -13,6 +13,12 @@ cargo test -q
 echo "==> cargo clippy --all-targets -- -D warnings"
 cargo clippy --all-targets -- -D warnings
 
+echo "==> vendored proptest stub tests"
+# The stub is outside the workspace, so `cargo test` above does not run
+# its own tests: the PROPTEST_SEED / PROPTEST_CASES parsing, the seed
+# mixing, and that an unset seed keeps every property's fixed stream.
+cargo test -q --manifest-path vendor/proptest/Cargo.toml --target-dir target
+
 echo "==> benchmark harness (perfbench/harness) build + tests"
 # The harness is a package of its own that links the workspace crates by
 # path, calls their public items, and implements all of `IntRegFile`:
@@ -123,7 +129,8 @@ echo "==> multi-context differential fuzz smoke"
 # Bounded differential fuzz: random programs co-simulated under maximum
 # sharing must match N isolated simulators and the functional executor
 # bit-for-bit. The vendored proptest stub seeds its RNG from the test
-# name, so this checks the same fixed program set on every run.
+# name, so this checks the same fixed program set on every run (set
+# PROPTEST_SEED to draw another set).
 cargo test --release -q -p carf-sim --test multi_differential
 
 echo "==> carf-as corpus smoke (assemble, link, run; cold then warm)"
@@ -200,5 +207,13 @@ CARF_RESULTS_DIR="$(mktemp -d)" \
     cargo run --release -q -p carf-bench --bin carf-sample -- \
     --quick --jobs 2 --sample --suite int --machine carf --check 0.15 \
     | tail -n 3
+# A spec whose period does not divide the run: 30k windows every 120k
+# simulate 32.5% of a 200k run, above the spec's long-run 29.2%. The
+# check compares each run with what the spec schedules for its length,
+# so this run, which did exactly that, must pass (exit 0).
+CARF_RESULTS_DIR="$(mktemp -d)" \
+    cargo run --release -q -p carf-bench --bin carf-sample -- \
+    --quick --jobs 2 --sample=30000/4/5000 --check 0.5 --machine base --suite int \
+    | tail -n 1
 
 echo "==> all checks passed"

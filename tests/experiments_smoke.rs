@@ -255,6 +255,28 @@ fn carf_sample_rejects_a_tolerance_that_is_not_finite_and_positive() {
     let _ = std::fs::remove_dir_all(&results);
 }
 
+/// A spec whose period does not divide the run: at the quick budget
+/// (200k instructions) `30000/4/5000` schedules a 30k window at 0 and a
+/// 35k window at 120k, 32.5% of the run against a long-run fraction of
+/// 29.2%. The check compares each run with what its spec schedules, so a
+/// run that did exactly that passes.
+#[test]
+fn carf_sample_check_accepts_runs_that_simulate_what_the_spec_schedules() {
+    let results = std::env::temp_dir().join(format!("carf-sample-detail-{}", std::process::id()));
+    let out = std::process::Command::new(env!("CARGO_BIN_EXE_carf-sample"))
+        .args(["--quick", "--jobs", "2", "--sample=30000/4/5000", "--check", "0.5"])
+        .args(["--machine", "base", "--suite", "int"])
+        .env("CARF_RESULTS_DIR", &results)
+        .output()
+        .expect("carf-sample runs");
+    let _ = std::fs::remove_dir_all(&results);
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(0), "stdout:\n{stdout}\nstderr:\n{stderr}");
+    assert!(stdout.contains("sampling quality check passed (8 points)"), "{stdout}");
+    assert!(stdout.contains("32.5%"), "{stdout}");
+}
+
 #[test]
 fn analytic_binaries_reject_unknown_flags() {
     let out = std::process::Command::new(env!("CARGO_BIN_EXE_fig8_area"))
