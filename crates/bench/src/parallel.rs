@@ -455,14 +455,6 @@ mod tests {
     }
 
     #[test]
-    fn merge_keeps_rows_missing_a_key_field() {
-        let existing = vec![r#"{"note":"hand-written row"}"#.to_string()];
-        let merged = merge(&existing, r#"{"bin":"a","jobs":1}"#, &["bin", "jobs"], 1);
-        assert_eq!(merged.len(), 2);
-        assert_eq!(merged[0], existing[0]);
-    }
-
-    #[test]
     fn results_dir_is_anchored_at_the_workspace_root() {
         // Regression for the cwd-relative `results/` bug: unless overridden,
         // the directory must be absolute and live next to this crate's

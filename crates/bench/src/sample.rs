@@ -464,6 +464,54 @@ mod tests {
         assert!(bound.is_finite() && bound <= 1.0, "{bound}");
     }
 
+    /// `add_window_delta` names the counters by hand; a counter that
+    /// `SimStats` and the statsio walk gain but the list does not would
+    /// read 0 in every sampled run.
+    #[test]
+    fn sampled_windows_carry_every_counter() {
+        use crate::json::Value;
+        use crate::statsio::{stats_from_value, stats_to_value};
+        const NOT_WINDOWED: [&str; 9] = [
+            "oracle.values",
+            "oracle.sim_d8",
+            "oracle.sim_d12",
+            "oracle.sim_d16",
+            "oracle.live_sum",
+            "oracle.snapshots",
+            "long_occupancy_hist",
+            "long_mean_live_bits",
+            "short_mean_occupancy_bits",
+        ];
+        let Value::Object(members) = stats_to_value(&SimStats::default()) else {
+            panic!("statistics encode as an object");
+        };
+        let ones = members
+            .into_iter()
+            .map(|(key, value)| {
+                let value = match value {
+                    _ if key == "v" => value,
+                    Value::Array(items) => items.iter().map(|_| Value::from(1u64)).collect(),
+                    _ => Value::from(1u64),
+                };
+                (key, value)
+            })
+            .collect();
+        let after = stats_from_value(&Value::Object(ones)).expect("every member decodes");
+        let mut agg = SimStats::default();
+        add_window_delta(&mut agg, &SimStats::default(), &after);
+        let Value::Object(members) = stats_to_value(&agg) else {
+            panic!("statistics encode as an object");
+        };
+        let missing: Vec<String> = members
+            .into_iter()
+            .filter(|(key, value)| {
+                key != "v" && !NOT_WINDOWED.contains(&key.as_str()) && value.as_u64() != Some(1)
+            })
+            .map(|(key, _)| key)
+            .collect();
+        assert!(missing.is_empty(), "not windowed: {missing:?}");
+    }
+
     #[test]
     fn default_detail_bound_is_under_a_fifth() {
         assert!(SampleSpec::default().detail_bound() <= 0.20);

@@ -1,10 +1,32 @@
 //! The conventional monolithic register file used as the paper's baseline
-//! (and, with more entries/ports, as the "unlimited" comparator).
+//! (and, with more entries/ports, as the "unlimited" comparator), and the
+//! untyped array it shares with the port-reduced file.
+
+use std::marker::PhantomData;
 
 use crate::long_file::LongFileFull;
 use crate::regfile::IntRegFile;
 use crate::stats::AccessStats;
 use crate::value::ValueClass;
+
+/// What tells apart the organizations that run [`ArrayRegFile`]'s code:
+/// the baseline and the port-reduced file. Only this crate's markers
+/// implement it.
+pub trait ArrayOrganization {
+    /// Whether the file keeps a ring of recent writebacks. The baseline
+    /// compiles the ring's bookkeeping out: kept in, even at depth 0, it
+    /// slowed every machine, since each one's FP file is a baseline array.
+    const CAPTURES: bool;
+}
+
+/// The baseline organization: no read-port budget of its own and no
+/// capture buffer.
+#[derive(Debug, Clone)]
+pub enum Baseline {}
+
+impl ArrayOrganization for Baseline {
+    const CAPTURES: bool = false;
+}
 
 /// A monolithic N×64-bit physical register file.
 ///
@@ -23,27 +45,90 @@ use crate::value::ValueClass;
 /// assert_eq!(rf.read(7), 0xdead_beef);
 /// # Ok::<(), carf_core::LongFileFull>(())
 /// ```
-#[derive(Debug, Clone)]
-pub struct BaselineRegFile {
-    values: Vec<u64>,
-    written: Vec<bool>,
-    stats: AccessStats,
-}
+pub type BaselineRegFile = ArrayRegFile<Baseline>;
 
 impl BaselineRegFile {
     /// Creates a file with `entries` physical registers.
     pub fn new(entries: usize) -> Self {
-        Self { values: vec![0; entries], written: vec![false; entries], stats: AccessStats::new() }
+        Self::build(entries, None, 0)
     }
 }
 
-impl IntRegFile for BaselineRegFile {
+/// An untyped N×64-bit array with an optional read-port budget of its own
+/// and, where the organization `O` keeps one, a ring of the most recent
+/// writebacks (depth 0: none).
+#[derive(Debug, Clone)]
+pub struct ArrayRegFile<O> {
+    values: Vec<u64>,
+    written: Vec<bool>,
+    /// Read-port budget that overrides the machine's (`None`: keep it).
+    read_ports: Option<u32>,
+    /// Ring of the most recently written tags, oldest evicted first.
+    capture: Vec<usize>,
+    capture_entries: usize,
+    capture_head: usize,
+    stats: AccessStats,
+    organization: PhantomData<O>,
+}
+
+impl<O: ArrayOrganization> ArrayRegFile<O> {
+    pub(crate) fn build(entries: usize, read_ports: Option<u32>, capture_entries: usize) -> Self {
+        Self {
+            values: vec![0; entries],
+            written: vec![false; entries],
+            read_ports,
+            capture: Vec::with_capacity(capture_entries),
+            capture_entries,
+            capture_head: 0,
+            stats: AccessStats::new(),
+            organization: PhantomData,
+        }
+    }
+
+    /// Tags currently resident in the capture buffer (inspection).
+    pub fn captured_tags(&self) -> &[usize] {
+        &self.capture
+    }
+
+    fn capture_push(&mut self, tag: usize) {
+        if !O::CAPTURES || self.capture_entries == 0 {
+            return;
+        }
+        // A rewrite of a resident tag refreshes in place.
+        if self.capture.contains(&tag) {
+            return;
+        }
+        if self.capture.len() < self.capture_entries {
+            self.capture.push(tag);
+        } else {
+            self.capture[self.capture_head] = tag;
+            self.capture_head = (self.capture_head + 1) % self.capture_entries;
+        }
+    }
+
+    fn capture_evict(&mut self, tag: usize) {
+        if !O::CAPTURES {
+            return;
+        }
+        if let Some(pos) = self.capture.iter().position(|&t| t == tag) {
+            self.capture.swap_remove(pos);
+            if self.capture_head >= self.capture.len() && !self.capture.is_empty() {
+                self.capture_head = 0;
+            }
+        }
+    }
+}
+
+impl<O: ArrayOrganization> IntRegFile for ArrayRegFile<O> {
     fn num_tags(&self) -> usize {
         self.values.len()
     }
 
     fn on_alloc(&mut self, tag: usize) {
         self.written[tag] = false;
+        // The tag is being renamed to a new instruction: a stale capture
+        // entry must not serve the *previous* value's reads port-free.
+        self.capture_evict(tag);
     }
 
     fn try_write(
@@ -54,6 +139,7 @@ impl IntRegFile for BaselineRegFile {
     ) -> Result<Option<ValueClass>, LongFileFull> {
         self.values[tag] = value;
         self.written[tag] = true;
+        self.capture_push(tag);
         self.stats.total_writes += 1;
         Ok(None)
     }
@@ -74,6 +160,7 @@ impl IntRegFile for BaselineRegFile {
 
     fn release(&mut self, tag: usize) {
         self.written[tag] = false;
+        self.capture_evict(tag);
     }
 
     fn observe_address(&mut self, _addr: u64) {}
@@ -104,6 +191,21 @@ impl IntRegFile for BaselineRegFile {
 
     fn stats_mut(&mut self) -> &mut AccessStats {
         &mut self.stats
+    }
+
+    fn read_port_limit(&self) -> Option<u32> {
+        self.read_ports
+    }
+
+    fn capture_buffer_hit(&mut self, tag: usize) -> bool {
+        let hit = O::CAPTURES && self.written[tag] && self.capture.contains(&tag);
+        if hit {
+            // Counts successful lookups: an instruction denied issue for an
+            // unrelated structural reason may probe the same operand again
+            // next cycle.
+            self.stats.capture_reuse_hits += 1;
+        }
+        hit
     }
 }
 

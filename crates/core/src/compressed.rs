@@ -6,40 +6,55 @@
 //! this ISA's integer file: most values are stored compressed in a narrow
 //! bank, a small dictionary holds the high-bit patterns shared by groups
 //! of similar values, and the minority of incompressible values overflow
-//! into a small full-width exception bank. Class assignment reuses the
-//! content-aware value algebra ([`crate::classify`]) so the compressed
-//! file measures the same value demographics as the paper's organization —
-//! but with a *baseline-shaped pipeline*: single-cycle read and writeback,
-//! no extra bypass level, and no address-only allocation policy (static
-//! compression learns from every produced result, not just addresses).
+//! into a small exception bank. That is the content-aware file's
+//! Simple/Short/Long structure under another allocation policy, so this
+//! file runs [`SubfileRegFile`]'s code — but with a *baseline-shaped
+//! pipeline*: single-cycle read and writeback, no extra bypass level, and
+//! no address-only allocation policy (static compression learns from every
+//! produced result, not just addresses).
 
-use crate::long_file::{LongFile, LongFileFull};
 use crate::params::CarfParams;
-use crate::regfile::{IntRegFile, SubfileOccupancy};
-use crate::short_file::ShortFile;
-use crate::simple_file::SimpleFile;
-use crate::stats::AccessStats;
-use crate::value::{classify, extend_simple, reconstruct_short, split_short, ValueClass};
+use crate::regfile::{
+    Policies, ShortAllocPolicy, ShortIndexPolicy, SubfileOrganization, SubfileRegFile,
+};
 
-/// Free exception-bank entries at or below which issue stalls (one issue
-/// group's worth, mirroring the paper's pseudo-deadlock guard).
-const OVERFLOW_STALL_THRESHOLD: usize = 8;
+/// Every produced result may claim the direct-indexed dictionary slot it
+/// maps to; issue stalls at one issue group's worth of free overflow
+/// entries (the paper's pseudo-deadlock guard); no extra bypass level.
+const POLICIES: Policies = Policies {
+    short_alloc: ShortAllocPolicy::AllResults,
+    short_index: ShortIndexPolicy::DirectIndexed,
+    long_stall_threshold: 8,
+    extra_bypass: false,
+};
 
-/// A narrow-bank register file with dictionary compression and a
-/// full-width overflow bank.
+/// The compressed organization: the narrow bank, dictionary and overflow
+/// bank are read in parallel and muxed in one cycle, and written in one.
+#[derive(Debug, Clone)]
+pub enum Compressed {}
+
+impl SubfileOrganization for Compressed {
+    const STAGES: u32 = 1;
+    const REPORTS_POLICIES: bool = false;
+}
+
+/// A narrow-bank register file with dictionary compression and an
+/// overflow bank.
 ///
 /// * N narrow entries of `d+n+2` bits (2-bit class tag + `d+n`-bit
-///   payload), one per physical tag;
+///   payload), one per physical tag: the Simple file;
 /// * M dictionary entries of `64-d-n` bits holding shared high-bit
-///   patterns, aged exactly like the content-aware Short file;
-/// * K overflow entries of 64 bits holding incompressible values whole.
+///   patterns: the Short file, aged by the same reference bits;
+/// * K overflow entries holding what the narrow entry cannot: the Long
+///   file.
 ///
-/// A write classifies its value with [`classify`]: sign-extending values
-/// store only their low `d+n` bits; values whose high bits match (or can
-/// claim) a dictionary entry store their low bits plus the implicit
-/// dictionary reference; everything else goes to the overflow bank, and a
-/// full overflow bank reports [`LongFileFull`] so the pipeline retries
-/// (the same recovery path as the content-aware Long file).
+/// A write classifies its value with [`classify`](crate::classify):
+/// sign-extending values store only their low `d+n` bits; values whose
+/// high bits match (or can claim) a dictionary entry store their low bits
+/// plus the dictionary reference; everything else goes to the overflow
+/// bank, and a full overflow bank reports
+/// [`LongFileFull`](crate::LongFileFull) so the pipeline retries (the same
+/// recovery path as the content-aware Long file).
 ///
 /// # Example
 ///
@@ -59,23 +74,7 @@ const OVERFLOW_STALL_THRESHOLD: usize = 8;
 /// assert_eq!(rf.read(2), 0x7f3a_8000_2080);
 /// # Ok::<(), carf_core::LongFileFull>(())
 /// ```
-#[derive(Debug, Clone)]
-pub struct CompressedRegFile {
-    params: CarfParams,
-    narrow: SimpleFile,
-    dict: ShortFile,
-    overflow: LongFile,
-    /// Dictionary slot per tag (short-class entries).
-    dict_ptr: Vec<Option<u32>>,
-    /// Overflow slot per tag (long-class entries).
-    over_ptr: Vec<Option<u32>>,
-    /// Shadow of the full written value, used to assert reconstruction
-    /// correctness in debug builds.
-    shadow: Vec<u64>,
-    stats: AccessStats,
-    dict_occupancy_sum: u64,
-    occupancy_samples: u64,
-}
+pub type CompressedRegFile = SubfileRegFile<Compressed>;
 
 impl CompressedRegFile {
     /// Creates an empty file. The geometry is shared with the
@@ -87,245 +86,14 @@ impl CompressedRegFile {
     ///
     /// Panics if `params` fail [`CarfParams::validate`].
     pub fn new(params: CarfParams) -> Self {
-        params.validate().expect("invalid compressed-file parameters");
-        Self {
-            narrow: SimpleFile::new(params.simple_entries),
-            dict: ShortFile::new(&params),
-            overflow: LongFile::new(params.long_entries),
-            dict_ptr: vec![None; params.simple_entries],
-            over_ptr: vec![None; params.simple_entries],
-            shadow: vec![0; params.simple_entries],
-            params,
-            stats: AccessStats::new(),
-            dict_occupancy_sum: 0,
-            occupancy_samples: 0,
-        }
-    }
-
-    /// The geometry this file was built with.
-    pub fn params(&self) -> &CarfParams {
-        &self.params
-    }
-
-    /// The high-bit dictionary (inspection and tests).
-    pub fn dictionary(&self) -> &ShortFile {
-        &self.dict
-    }
-
-    /// The overflow bank (inspection and tests).
-    pub fn overflow_bank(&self) -> &LongFile {
-        &self.overflow
-    }
-
-    fn reconstruct(&self, tag: usize) -> u64 {
-        let entry = self.narrow.read(tag);
-        match entry.rd.expect("register read before write") {
-            ValueClass::Simple => extend_simple(&self.params, entry.value),
-            ValueClass::Short => {
-                let idx = self.dict_ptr[tag].expect("short value without dictionary slot") as usize;
-                reconstruct_short(&self.params, self.dict.slot(idx).high, entry.value)
-            }
-            ValueClass::Long => {
-                let idx = self.over_ptr[tag].expect("long value without overflow slot") as usize;
-                self.overflow.read(idx)
-            }
-        }
-    }
-}
-
-impl IntRegFile for CompressedRegFile {
-    fn num_tags(&self) -> usize {
-        self.params.simple_entries
-    }
-
-    fn on_alloc(&mut self, tag: usize) {
-        self.narrow.clear(tag);
-        debug_assert!(
-            self.over_ptr[tag].is_none(),
-            "tag {tag} reallocated while holding an overflow entry"
-        );
-        self.dict_ptr[tag] = None;
-        self.over_ptr[tag] = None;
-    }
-
-    fn try_write(
-        &mut self,
-        tag: usize,
-        value: u64,
-        _from_address_op: bool,
-    ) -> Result<Option<ValueClass>, LongFileFull> {
-        // Static compression: every produced result probes the dictionary,
-        // and a miss tries to claim the indexed slot regardless of whether
-        // the producer was an address computation.
-        let class = match classify(&self.params, value, self.dict.probe(&self.params, value).is_some()) {
-            ValueClass::Simple => ValueClass::Simple,
-            ValueClass::Short => {
-                let idx = self.dict.probe(&self.params, value).expect("probe hit vanished");
-                self.dict.mark_used(idx);
-                self.dict_ptr[tag] = Some(idx as u32);
-                ValueClass::Short
-            }
-            ValueClass::Long => match self.dict.try_alloc(&self.params, value) {
-                Some(idx) => {
-                    self.dict_ptr[tag] = Some(idx as u32);
-                    ValueClass::Short
-                }
-                None => ValueClass::Long,
-            },
-        };
-        match class {
-            ValueClass::Simple => {
-                self.narrow.write(tag, class, value & self.params.value_field_mask());
-            }
-            ValueClass::Short => {
-                self.narrow.write(tag, class, split_short(&self.params, value).1);
-            }
-            ValueClass::Long => {
-                // The exception path: the overflow bank stores the value
-                // whole; the narrow entry holds only the class tag and the
-                // bank pointer (kept implicit here via `over_ptr`).
-                let idx = match self.overflow.alloc(value) {
-                    Ok(idx) => idx,
-                    Err(full) => {
-                        self.stats.long_write_stalls += 1;
-                        return Err(full);
-                    }
-                };
-                self.over_ptr[tag] = Some(idx as u32);
-                self.narrow.write(tag, class, 0);
-            }
-        }
-        self.shadow[tag] = value;
-        self.stats.writes.bump(class);
-        self.stats.total_writes += 1;
-        Ok(Some(class))
-    }
-
-    fn read(&mut self, tag: usize) -> u64 {
-        let value = self.reconstruct(tag);
-        debug_assert_eq!(
-            value, self.shadow[tag],
-            "compressed reconstruction diverged for tag {tag}"
-        );
-        let class = self.narrow.read(tag).rd.expect("register read before write");
-        self.stats.reads.bump(class);
-        self.stats.total_reads += 1;
-        value
-    }
-
-    fn peek(&self, tag: usize) -> Option<u64> {
-        self.narrow.read(tag).rd.map(|_| self.reconstruct(tag))
-    }
-
-    fn class_of(&self, tag: usize) -> Option<ValueClass> {
-        self.narrow.read(tag).rd
-    }
-
-    fn release(&mut self, tag: usize) {
-        if let Some(idx) = self.over_ptr[tag].take() {
-            self.overflow.release(idx as usize);
-        }
-        self.dict_ptr[tag] = None;
-        self.narrow.clear(tag);
-    }
-
-    fn observe_address(&mut self, _addr: u64) {
-        // Static compression has no address-only allocation policy: the
-        // dictionary learns at write time from every result.
-    }
-
-    fn rob_interval_tick(&mut self) {
-        // Live compressed registers protect their dictionary entries, the
-        // same background scan the content-aware Short file uses: losing a
-        // referenced high-bit pattern would corrupt reconstruction.
-        let refs: Vec<usize> = self
-            .dict_ptr
-            .iter()
-            .enumerate()
-            .filter(|(tag, p)| {
-                p.is_some() && self.narrow.read(*tag).rd == Some(ValueClass::Short)
-            })
-            .filter_map(|(_, p)| p.map(|i| i as usize))
-            .collect();
-        self.dict.rob_interval_tick(refs);
-    }
-
-    fn should_stall_issue(&self) -> bool {
-        self.overflow.free_count() <= OVERFLOW_STALL_THRESHOLD
-    }
-
-    fn read_stages(&self) -> u32 {
-        // Narrow bank, dictionary and overflow bank are read in parallel
-        // and muxed in the same cycle: the baseline's pipeline shape.
-        1
-    }
-
-    fn writeback_stages(&self) -> u32 {
-        1
-    }
-
-    fn extra_bypass_level(&self) -> bool {
-        false
-    }
-
-    fn sample_occupancy(&mut self) {
-        self.overflow.sample_occupancy();
-        self.dict_occupancy_sum += self.dict.occupancy() as u64;
-        self.occupancy_samples += 1;
-        // Mirror sub-structure traffic into the access stats (same
-        // convention as the content-aware file).
-        self.stats.short_allocs = self.dict.allocations();
-        self.stats.short_alloc_rejects = self.dict.rejected_allocations();
-        self.stats.short_reclaims = self.dict.reclaims();
-        self.stats.long_allocs = self.overflow.allocations();
-        self.stats.long_releases = self.overflow.releases();
-    }
-
-    fn stats(&self) -> &AccessStats {
-        &self.stats
-    }
-
-    fn stats_mut(&mut self) -> &mut AccessStats {
-        &mut self.stats
-    }
-
-    fn carf_params(&self) -> Option<&CarfParams> {
-        Some(&self.params)
-    }
-
-    fn set_long_capacity_limit(&mut self, limit: usize) {
-        self.overflow.set_capacity_limit(limit);
-    }
-
-    fn long_live_count(&self) -> usize {
-        self.overflow.live_count()
-    }
-
-    fn mean_short_occupancy(&self) -> f64 {
-        if self.occupancy_samples == 0 {
-            0.0
-        } else {
-            self.dict_occupancy_sum as f64 / self.occupancy_samples as f64
-        }
-    }
-
-    fn occupancy_report(&self) -> Option<SubfileOccupancy> {
-        Some(SubfileOccupancy {
-            long_mean_live: self.overflow.mean_live(),
-            long_peak_live: self.overflow.peak_live(),
-            short_mean_occupancy: self.mean_short_occupancy(),
-            long_occupancy_hist: self.overflow.occupancy_histogram().to_vec(),
-        })
-    }
-
-    fn classify_value(&self, value: u64, _from_address_op: bool) -> Option<ValueClass> {
-        Some(classify(&self.params, value, self.dict.probe(&self.params, value).is_some()))
+        Self::build(params, POLICIES)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{IntRegFile, ValueClass};
 
     const HEAP: u64 = 0x0000_7f3a_8000_0000;
 
@@ -333,16 +101,6 @@ mod tests {
         CompressedRegFile::new(CarfParams::paper_default())
     }
 
-    #[test]
-    fn simple_values_round_trip() {
-        let mut rf = rf();
-        for (tag, v) in [(0usize, 0u64), (1, 42), (2, (-1i64) as u64), (3, (-524288i64) as u64)] {
-            rf.on_alloc(tag);
-            assert_eq!(rf.try_write(tag, v, false).unwrap(), Some(ValueClass::Simple));
-            assert_eq!(rf.read(tag), v);
-        }
-        assert_eq!(rf.stats().writes.simple, 4);
-    }
 
     #[test]
     fn any_producer_trains_the_dictionary() {
@@ -355,14 +113,14 @@ mod tests {
         assert_eq!(rf.try_write(1, HEAP + 0x1f00, false).unwrap(), Some(ValueClass::Short));
         assert_eq!(rf.read(0), HEAP);
         assert_eq!(rf.read(1), HEAP + 0x1f00);
-        assert_eq!(rf.dictionary().occupancy(), 1);
+        assert_eq!(rf.short_file().occupancy(), 1);
     }
 
     #[test]
     fn observe_address_is_inert() {
         let mut rf = rf();
         rf.observe_address(HEAP);
-        assert_eq!(rf.dictionary().occupancy(), 0);
+        assert_eq!(rf.short_file().occupancy(), 0);
     }
 
     #[test]
@@ -378,9 +136,9 @@ mod tests {
         assert_eq!(rf.try_write(1, b, false).unwrap(), Some(ValueClass::Long));
         assert_eq!(rf.read(0), a);
         assert_eq!(rf.read(1), b);
-        assert_eq!(rf.overflow_bank().live_count(), 1);
+        assert_eq!(rf.long_file().live_count(), 1);
         rf.release(1);
-        assert_eq!(rf.overflow_bank().live_count(), 0);
+        assert_eq!(rf.long_file().live_count(), 0);
     }
 
     #[test]
@@ -482,25 +240,5 @@ mod tests {
                 assert_eq!(written, ValueClass::Short);
             }
         }
-    }
-
-    #[test]
-    #[should_panic(expected = "read before write")]
-    fn reading_unwritten_tag_is_a_pipeline_bug() {
-        let mut rf = rf();
-        rf.on_alloc(0);
-        let _ = rf.read(0);
-    }
-
-    #[test]
-    fn write_after_release_reuses_tag_cleanly() {
-        let mut rf = rf();
-        rf.on_alloc(5);
-        rf.try_write(5, 0xdead_beef_0000_0001, false).unwrap();
-        rf.release(5);
-        rf.on_alloc(5);
-        rf.try_write(5, 3, false).unwrap();
-        assert_eq!(rf.read(5), 3);
-        assert_eq!(rf.class_of(5), Some(ValueClass::Simple));
     }
 }

@@ -29,9 +29,11 @@
 //! * [`BaselineRegFile`] — the conventional comparator (also used for the
 //!   "unlimited" configuration);
 //! * [`CompressedRegFile`] and [`PortReducedRegFile`] — the backend zoo:
-//!   static dictionary compression with a full-width overflow bank, and a
-//!   read-port-reduced monolithic file with an operand-reuse capture
-//!   buffer;
+//!   static dictionary compression with an overflow bank, which runs the
+//!   content-aware file's code under its own policies and a one-stage
+//!   pipeline, and a read-port-reduced file, which runs the baseline's
+//!   array with a read-port budget and an operand-reuse capture buffer
+//!   (four backends, two implementations);
 //! * [`analysis`] — the oracle live-value demographics behind the paper's
 //!   Figures 1 and 2.
 //!

@@ -10,10 +10,7 @@
 //! cycle and surface as issue-structural stalls in the tracer's
 //! attribution buckets.
 
-use crate::long_file::LongFileFull;
-use crate::regfile::IntRegFile;
-use crate::stats::AccessStats;
-use crate::value::ValueClass;
+use crate::baseline::{ArrayOrganization, ArrayRegFile};
 
 /// Geometry of a [`PortReducedRegFile`]: the physical read-port budget and
 /// the capture-buffer depth.
@@ -49,13 +46,23 @@ impl PortReducedParams {
     }
 }
 
+/// The port-reduced organization: the baseline's array with a read-port
+/// budget of its own and a capture buffer.
+#[derive(Debug, Clone)]
+pub enum PortReduced {}
+
+impl ArrayOrganization for PortReduced {
+    const CAPTURES: bool = true;
+}
+
 /// A monolithic N×64-bit file with a configurable read-port budget and a
 /// last-writeback capture buffer.
 ///
-/// Storage semantics are identical to the baseline file (single-cycle
+/// Storage is the baseline file's array, run by the same code (single-cycle
 /// read and writeback, no value typing); the difference is purely in
 /// issue-stage port accounting, reached through the
-/// [`IntRegFile::read_port_limit`] and [`IntRegFile::capture_buffer_hit`]
+/// [`IntRegFile::read_port_limit`](crate::IntRegFile::read_port_limit) and
+/// [`IntRegFile::capture_buffer_hit`](crate::IntRegFile::capture_buffer_hit)
 /// hooks. A capture-buffer hit means the operand's value is still resident
 /// in the buffer from its producer's writeback, so the read consumes no
 /// physical port; the architectural value is served from the backing array
@@ -74,16 +81,7 @@ impl PortReducedParams {
 /// assert_eq!(rf.read(7), 0xdead_beef);
 /// # Ok::<(), carf_core::LongFileFull>(())
 /// ```
-#[derive(Debug, Clone)]
-pub struct PortReducedRegFile {
-    params: PortReducedParams,
-    values: Vec<u64>,
-    written: Vec<bool>,
-    /// Ring of the most recently written tags, oldest evicted first.
-    capture: Vec<usize>,
-    capture_head: usize,
-    stats: AccessStats,
-}
+pub type PortReducedRegFile = ArrayRegFile<PortReduced>;
 
 impl PortReducedRegFile {
     /// Creates a file with `entries` physical registers.
@@ -93,161 +91,17 @@ impl PortReducedRegFile {
     /// Panics if `params` fail [`PortReducedParams::validate`].
     pub fn new(entries: usize, params: PortReducedParams) -> Self {
         params.validate().expect("invalid port-reduced parameters");
-        Self {
-            params,
-            values: vec![0; entries],
-            written: vec![false; entries],
-            capture: Vec::with_capacity(params.capture_entries),
-            capture_head: 0,
-            stats: AccessStats::new(),
-        }
-    }
-
-    /// The configured geometry.
-    pub fn params(&self) -> &PortReducedParams {
-        &self.params
-    }
-
-    /// Tags currently resident in the capture buffer (inspection).
-    pub fn captured_tags(&self) -> &[usize] {
-        &self.capture
-    }
-
-    fn capture_push(&mut self, tag: usize) {
-        if self.params.capture_entries == 0 {
-            return;
-        }
-        // A rewrite of a resident tag refreshes in place.
-        if self.capture.contains(&tag) {
-            return;
-        }
-        if self.capture.len() < self.params.capture_entries {
-            self.capture.push(tag);
-        } else {
-            self.capture[self.capture_head] = tag;
-            self.capture_head = (self.capture_head + 1) % self.params.capture_entries;
-        }
-    }
-
-    fn capture_evict(&mut self, tag: usize) {
-        if let Some(pos) = self.capture.iter().position(|&t| t == tag) {
-            self.capture.swap_remove(pos);
-            if self.capture_head >= self.capture.len() && !self.capture.is_empty() {
-                self.capture_head = 0;
-            }
-        }
-    }
-}
-
-impl IntRegFile for PortReducedRegFile {
-    fn num_tags(&self) -> usize {
-        self.values.len()
-    }
-
-    fn on_alloc(&mut self, tag: usize) {
-        self.written[tag] = false;
-        // The tag is being renamed to a new instruction: a stale capture
-        // entry must not serve the *previous* value's reads port-free.
-        self.capture_evict(tag);
-    }
-
-    fn try_write(
-        &mut self,
-        tag: usize,
-        value: u64,
-        _from_address_op: bool,
-    ) -> Result<Option<ValueClass>, LongFileFull> {
-        self.values[tag] = value;
-        self.written[tag] = true;
-        self.capture_push(tag);
-        self.stats.total_writes += 1;
-        Ok(None)
-    }
-
-    fn read(&mut self, tag: usize) -> u64 {
-        assert!(self.written[tag], "register read before write (tag {tag})");
-        self.stats.total_reads += 1;
-        self.values[tag]
-    }
-
-    fn peek(&self, tag: usize) -> Option<u64> {
-        self.written[tag].then(|| self.values[tag])
-    }
-
-    fn class_of(&self, _tag: usize) -> Option<ValueClass> {
-        None
-    }
-
-    fn release(&mut self, tag: usize) {
-        self.written[tag] = false;
-        self.capture_evict(tag);
-    }
-
-    fn observe_address(&mut self, _addr: u64) {}
-
-    fn rob_interval_tick(&mut self) {}
-
-    fn should_stall_issue(&self) -> bool {
-        false
-    }
-
-    fn read_stages(&self) -> u32 {
-        1
-    }
-
-    fn writeback_stages(&self) -> u32 {
-        1
-    }
-
-    fn extra_bypass_level(&self) -> bool {
-        false
-    }
-
-    fn sample_occupancy(&mut self) {}
-
-    fn stats(&self) -> &AccessStats {
-        &self.stats
-    }
-
-    fn stats_mut(&mut self) -> &mut AccessStats {
-        &mut self.stats
-    }
-
-    fn read_port_limit(&self) -> Option<u32> {
-        Some(self.params.read_ports)
-    }
-
-    fn capture_buffer_hit(&mut self, tag: usize) -> bool {
-        let hit = self.written[tag] && self.capture.contains(&tag);
-        if hit {
-            // Counts successful lookups: an instruction denied issue for an
-            // unrelated structural reason may probe the same operand again
-            // next cycle.
-            self.stats.capture_reuse_hits += 1;
-        }
-        hit
+        Self::build(entries, Some(params.read_ports), params.capture_entries)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::IntRegFile;
 
     fn rf() -> PortReducedRegFile {
         PortReducedRegFile::new(16, PortReducedParams { read_ports: 2, capture_entries: 3 })
-    }
-
-    #[test]
-    fn write_read_release_matches_baseline_semantics() {
-        let mut rf = rf();
-        rf.on_alloc(2);
-        rf.try_write(2, 99, false).unwrap();
-        assert_eq!(rf.read(2), 99);
-        assert_eq!(rf.peek(2), Some(99));
-        rf.release(2);
-        assert_eq!(rf.peek(2), None);
-        assert_eq!(rf.stats().total_reads, 1);
-        assert_eq!(rf.stats().total_writes, 1);
     }
 
     #[test]
@@ -315,13 +169,5 @@ mod tests {
     #[should_panic(expected = "at least one read port")]
     fn zero_ports_are_rejected() {
         let _ = PortReducedRegFile::new(8, PortReducedParams { read_ports: 0, capture_entries: 4 });
-    }
-
-    #[test]
-    #[should_panic(expected = "read before write")]
-    fn unwritten_read_panics() {
-        let mut rf = rf();
-        rf.on_alloc(0);
-        let _ = rf.read(0);
     }
 }

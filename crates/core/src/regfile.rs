@@ -1,6 +1,8 @@
 //! The composed content-aware register file and the common register-file
 //! interface the pipeline programs against.
 
+use std::marker::PhantomData;
+
 use crate::long_file::{LongFile, LongFileFull};
 use crate::params::CarfParams;
 use crate::short_file::ShortFile;
@@ -78,17 +80,18 @@ pub struct SubfileOccupancy {
 
 /// The physical integer register file interface the pipeline uses.
 ///
-/// Both the conventional [`BaselineRegFile`](crate::BaselineRegFile) and the
-/// [`ContentAwareRegFile`] implement this; the simulator is generic over it
-/// and monomorphizes per backend. Tags are physical register numbers
-/// assigned by the renamer.
+/// Two implementations serve the four backends: the sub-file code behind
+/// the [`ContentAwareRegFile`] and the
+/// [`CompressedRegFile`](crate::CompressedRegFile), and the untyped array
+/// behind the [`BaselineRegFile`](crate::BaselineRegFile) and the
+/// [`PortReducedRegFile`](crate::PortReducedRegFile). The simulator is
+/// generic over it and monomorphizes per backend. Tags are physical
+/// register numbers assigned by the renamer.
 ///
 /// Organization-specific capabilities (CARF introspection, SMT Long-file
 /// sharing, occupancy reporting) are defaulted hooks rather than concrete-type
 /// escape hatches: a backend without the capability inherits the no-op default,
-/// and callers stay generic. New backends — e.g. static data compression or
-/// read-port-reduction schemes — implement the core methods and override
-/// only the hooks that apply.
+/// and callers stay generic.
 pub trait IntRegFile {
     /// Number of physical tags.
     fn num_tags(&self) -> usize;
@@ -234,6 +237,28 @@ pub trait IntRegFile {
     }
 }
 
+/// What tells apart the organizations that run [`SubfileRegFile`]'s code:
+/// the paper's content-aware file and the statically-compressed file
+/// ([`CompressedRegFile`](crate::CompressedRegFile)). Only this crate's
+/// markers implement it.
+pub trait SubfileOrganization {
+    /// Register-read stages, and as many writeback stages: 2 for RF1+RF2
+    /// and WR1+WR2, 1 where every sub-file is read or written in one cycle.
+    const STAGES: u32;
+    /// Whether [`IntRegFile::carf_policies`] reports the file's policies.
+    const REPORTS_POLICIES: bool;
+}
+
+/// The paper's organization: two-stage read and writeback, under the
+/// [`Policies`] it was built with.
+#[derive(Debug, Clone)]
+pub enum ContentAware {}
+
+impl SubfileOrganization for ContentAware {
+    const STAGES: u32 = 2;
+    const REPORTS_POLICIES: bool = true;
+}
+
 /// The paper's three-file content-aware integer register file.
 ///
 /// * N Simple entries (one per physical tag), each `d+n+2` bits;
@@ -273,8 +298,13 @@ pub trait IntRegFile {
 /// assert_eq!(rf.read(3), heap_ptr + 0x80);
 /// # Ok::<(), carf_core::LongFileFull>(())
 /// ```
+pub type ContentAwareRegFile = SubfileRegFile<ContentAware>;
+
+/// Simple, Short and Long sub-files behind a WR1 type check, under a
+/// [`Policies`] record; the organization `O` sets the pipeline shape. See
+/// [`ContentAwareRegFile`] for the layout.
 #[derive(Debug, Clone)]
-pub struct ContentAwareRegFile {
+pub struct SubfileRegFile<O> {
     params: CarfParams,
     policies: Policies,
     simple: SimpleFile,
@@ -292,6 +322,7 @@ pub struct ContentAwareRegFile {
     stats: AccessStats,
     short_occupancy_sum: u64,
     occupancy_samples: u64,
+    organization: PhantomData<O>,
 }
 
 impl ContentAwareRegFile {
@@ -310,6 +341,22 @@ impl ContentAwareRegFile {
     ///
     /// Panics if `params` fail [`CarfParams::validate`].
     pub fn with_policies(params: CarfParams, policies: Policies) -> Self {
+        Self::build(params, policies)
+    }
+
+    /// The active policies.
+    pub fn policies(&self) -> &Policies {
+        &self.policies
+    }
+}
+
+impl<O: SubfileOrganization> SubfileRegFile<O> {
+    /// An empty file.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `params` fail [`CarfParams::validate`].
+    pub(crate) fn build(params: CarfParams, policies: Policies) -> Self {
         params.validate().expect("invalid CARF parameters");
         Self {
             simple: SimpleFile::new(params.simple_entries),
@@ -323,17 +370,13 @@ impl ContentAwareRegFile {
             stats: AccessStats::new(),
             short_occupancy_sum: 0,
             occupancy_samples: 0,
+            organization: PhantomData,
         }
     }
 
     /// The geometry this file was built with.
     pub fn params(&self) -> &CarfParams {
         &self.params
-    }
-
-    /// The active policies.
-    pub fn policies(&self) -> &Policies {
-        &self.policies
     }
 
     /// The Short sub-file (inspection and tests).
@@ -378,7 +421,7 @@ impl ContentAwareRegFile {
     }
 }
 
-impl IntRegFile for ContentAwareRegFile {
+impl<O: SubfileOrganization> IntRegFile for SubfileRegFile<O> {
     fn num_tags(&self) -> usize {
         self.params.simple_entries
     }
@@ -455,7 +498,7 @@ impl IntRegFile for ContentAwareRegFile {
         let value = self.reconstruct(tag);
         debug_assert_eq!(
             value, self.shadow[tag],
-            "content-aware reconstruction diverged for tag {tag}"
+            "sub-file reconstruction diverged for tag {tag}"
         );
         let class = self.simple.read(tag).rd.expect("register read before write");
         self.stats.reads.bump(class);
@@ -512,11 +555,11 @@ impl IntRegFile for ContentAwareRegFile {
     }
 
     fn read_stages(&self) -> u32 {
-        2
+        O::STAGES
     }
 
     fn writeback_stages(&self) -> u32 {
-        2
+        O::STAGES
     }
 
     fn extra_bypass_level(&self) -> bool {
@@ -550,7 +593,7 @@ impl IntRegFile for ContentAwareRegFile {
     }
 
     fn carf_policies(&self) -> Option<&Policies> {
-        Some(&self.policies)
+        O::REPORTS_POLICIES.then_some(&self.policies)
     }
 
     /// Caps the Long file's live entries (see

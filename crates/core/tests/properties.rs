@@ -3,7 +3,8 @@
 use carf_core::analysis::{bucket_for_rank, GroupAccumulator, NUM_GROUPS};
 use carf_core::{
     classify, is_simple, reconstruct_long, reconstruct_short, split_long, split_short,
-    CarfParams, ContentAwareRegFile, IntRegFile, Policies, ShortIndexPolicy, ValueClass,
+    AccessStats, CarfParams, CompressedRegFile, ContentAwareRegFile, IntRegFile, LongFile,
+    LongFileFull, Policies, ShortFile, ShortIndexPolicy, SimpleFile, SubfileOccupancy, ValueClass,
 };
 use proptest::prelude::*;
 use std::collections::HashMap;
@@ -238,5 +239,310 @@ proptest! {
             }
             prop_assert_eq!(acc.raw_parts(), reference_grouping(&snapshots, d).raw_parts());
         }
+    }
+}
+
+/// The statically-compressed file as it was written before it ran the
+/// content-aware file's code, kept as the reference model: a narrow bank,
+/// a high-bit dictionary trained by every result, and an overflow bank
+/// that stores incompressible values whole, with a one-stage pipeline and
+/// an issue guard at 8 free overflow entries.
+#[derive(Debug, Clone)]
+struct ReferenceCompressed {
+    params: CarfParams,
+    narrow: SimpleFile,
+    dict: ShortFile,
+    overflow: LongFile,
+    dict_ptr: Vec<Option<u32>>,
+    over_ptr: Vec<Option<u32>>,
+    stats: AccessStats,
+    dict_occupancy_sum: u64,
+    occupancy_samples: u64,
+}
+
+impl ReferenceCompressed {
+    fn new(params: CarfParams) -> Self {
+        params.validate().expect("invalid compressed-file parameters");
+        Self {
+            narrow: SimpleFile::new(params.simple_entries),
+            dict: ShortFile::new(&params),
+            overflow: LongFile::new(params.long_entries),
+            dict_ptr: vec![None; params.simple_entries],
+            over_ptr: vec![None; params.simple_entries],
+            params,
+            stats: AccessStats::new(),
+            dict_occupancy_sum: 0,
+            occupancy_samples: 0,
+        }
+    }
+
+    fn reconstruct(&self, tag: usize) -> u64 {
+        let entry = self.narrow.read(tag);
+        match entry.rd.expect("register read before write") {
+            ValueClass::Simple => {
+                let shift = 64 - self.params.dn();
+                (((entry.value << shift) as i64) >> shift) as u64
+            }
+            ValueClass::Short => {
+                let idx = self.dict_ptr[tag].expect("short value without dictionary slot") as usize;
+                reconstruct_short(&self.params, self.dict.slot(idx).high, entry.value)
+            }
+            ValueClass::Long => {
+                let idx = self.over_ptr[tag].expect("long value without overflow slot") as usize;
+                self.overflow.read(idx)
+            }
+        }
+    }
+}
+
+impl IntRegFile for ReferenceCompressed {
+    fn num_tags(&self) -> usize {
+        self.params.simple_entries
+    }
+
+    fn on_alloc(&mut self, tag: usize) {
+        self.narrow.clear(tag);
+        assert!(self.over_ptr[tag].is_none(), "tag {tag} reallocated while holding an overflow entry");
+        self.dict_ptr[tag] = None;
+        self.over_ptr[tag] = None;
+    }
+
+    fn try_write(
+        &mut self,
+        tag: usize,
+        value: u64,
+        _from_address_op: bool,
+    ) -> Result<Option<ValueClass>, LongFileFull> {
+        let class = match classify(&self.params, value, self.dict.probe(&self.params, value).is_some()) {
+            ValueClass::Simple => ValueClass::Simple,
+            ValueClass::Short => {
+                let idx = self.dict.probe(&self.params, value).expect("probe hit vanished");
+                self.dict.mark_used(idx);
+                self.dict_ptr[tag] = Some(idx as u32);
+                ValueClass::Short
+            }
+            ValueClass::Long => match self.dict.try_alloc(&self.params, value) {
+                Some(idx) => {
+                    self.dict_ptr[tag] = Some(idx as u32);
+                    ValueClass::Short
+                }
+                None => ValueClass::Long,
+            },
+        };
+        match class {
+            ValueClass::Simple => {
+                self.narrow.write(tag, class, value & self.params.value_field_mask());
+            }
+            ValueClass::Short => {
+                self.narrow.write(tag, class, split_short(&self.params, value).1);
+            }
+            ValueClass::Long => {
+                let idx = match self.overflow.alloc(value) {
+                    Ok(idx) => idx,
+                    Err(full) => {
+                        self.stats.long_write_stalls += 1;
+                        return Err(full);
+                    }
+                };
+                self.over_ptr[tag] = Some(idx as u32);
+                self.narrow.write(tag, class, 0);
+            }
+        }
+        self.stats.writes.bump(class);
+        self.stats.total_writes += 1;
+        Ok(Some(class))
+    }
+
+    fn read(&mut self, tag: usize) -> u64 {
+        let value = self.reconstruct(tag);
+        let class = self.narrow.read(tag).rd.expect("register read before write");
+        self.stats.reads.bump(class);
+        self.stats.total_reads += 1;
+        value
+    }
+
+    fn peek(&self, tag: usize) -> Option<u64> {
+        self.narrow.read(tag).rd.map(|_| self.reconstruct(tag))
+    }
+
+    fn class_of(&self, tag: usize) -> Option<ValueClass> {
+        self.narrow.read(tag).rd
+    }
+
+    fn release(&mut self, tag: usize) {
+        if let Some(idx) = self.over_ptr[tag].take() {
+            self.overflow.release(idx as usize);
+        }
+        self.dict_ptr[tag] = None;
+        self.narrow.clear(tag);
+    }
+
+    fn observe_address(&mut self, _addr: u64) {}
+
+    fn rob_interval_tick(&mut self) {
+        let refs: Vec<usize> = self
+            .dict_ptr
+            .iter()
+            .enumerate()
+            .filter(|(tag, p)| p.is_some() && self.narrow.read(*tag).rd == Some(ValueClass::Short))
+            .filter_map(|(_, p)| p.map(|i| i as usize))
+            .collect();
+        self.dict.rob_interval_tick(refs);
+    }
+
+    fn should_stall_issue(&self) -> bool {
+        self.overflow.free_count() <= 8
+    }
+
+    fn read_stages(&self) -> u32 {
+        1
+    }
+
+    fn writeback_stages(&self) -> u32 {
+        1
+    }
+
+    fn extra_bypass_level(&self) -> bool {
+        false
+    }
+
+    fn sample_occupancy(&mut self) {
+        self.overflow.sample_occupancy();
+        self.dict_occupancy_sum += self.dict.occupancy() as u64;
+        self.occupancy_samples += 1;
+        self.stats.short_allocs = self.dict.allocations();
+        self.stats.short_alloc_rejects = self.dict.rejected_allocations();
+        self.stats.short_reclaims = self.dict.reclaims();
+        self.stats.long_allocs = self.overflow.allocations();
+        self.stats.long_releases = self.overflow.releases();
+    }
+
+    fn stats(&self) -> &AccessStats {
+        &self.stats
+    }
+
+    fn stats_mut(&mut self) -> &mut AccessStats {
+        &mut self.stats
+    }
+
+    fn carf_params(&self) -> Option<&CarfParams> {
+        Some(&self.params)
+    }
+
+    fn set_long_capacity_limit(&mut self, limit: usize) {
+        self.overflow.set_capacity_limit(limit);
+    }
+
+    fn long_live_count(&self) -> usize {
+        self.overflow.live_count()
+    }
+
+    fn mean_short_occupancy(&self) -> f64 {
+        if self.occupancy_samples == 0 {
+            0.0
+        } else {
+            self.dict_occupancy_sum as f64 / self.occupancy_samples as f64
+        }
+    }
+
+    fn occupancy_report(&self) -> Option<SubfileOccupancy> {
+        Some(SubfileOccupancy {
+            long_mean_live: self.overflow.mean_live(),
+            long_peak_live: self.overflow.peak_live(),
+            short_mean_occupancy: self.mean_short_occupancy(),
+            long_occupancy_hist: self.overflow.occupancy_histogram().to_vec(),
+        })
+    }
+
+    fn classify_value(&self, value: u64, _from_address_op: bool) -> Option<ValueClass> {
+        Some(classify(&self.params, value, self.dict.probe(&self.params, value).is_some()))
+    }
+}
+
+/// One step of a register-file driver: the operation code picks what
+/// happens to the tag (taken modulo the file's tags) and the value.
+fn arb_step() -> impl Strategy<Value = (u8, usize, u64, bool)> {
+    (0u8..8, 0usize..128, arb_value(), any::<bool>())
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    #[test]
+    fn compressed_file_matches_the_reference_model(
+        params in arb_params(),
+        steps in proptest::collection::vec(arb_step(), 1..400),
+    ) {
+        let mut new = CompressedRegFile::new(params);
+        let mut old = ReferenceCompressed::new(params);
+        prop_assert_eq!(new.num_tags(), old.num_tags());
+        prop_assert_eq!(new.carf_params(), old.carf_params());
+        prop_assert_eq!(new.carf_policies(), old.carf_policies());
+        prop_assert_eq!(new.read_stages(), old.read_stages());
+        prop_assert_eq!(new.writeback_stages(), old.writeback_stages());
+        prop_assert_eq!(new.extra_bypass_level(), old.extra_bypass_level());
+        // Tags handed to `on_alloc` and not released since.
+        let mut allocated = vec![false; params.simple_entries];
+        for (i, &(op, tag, value, address)) in steps.iter().enumerate() {
+            let tag = tag % params.simple_entries;
+            match op {
+                // Write, allocating the tag first (and releasing its
+                // previous value) unless a rejected write left it waiting.
+                0 | 1 => {
+                    if !allocated[tag] || new.class_of(tag).is_some() {
+                        new.release(tag);
+                        old.release(tag);
+                        new.on_alloc(tag);
+                        old.on_alloc(tag);
+                        allocated[tag] = true;
+                    }
+                    prop_assert_eq!(
+                        new.try_write(tag, value, address),
+                        old.try_write(tag, value, address),
+                        "write at step {}", i
+                    );
+                }
+                2 => {
+                    if new.class_of(tag).is_some() {
+                        prop_assert_eq!(new.read(tag), old.read(tag), "read at step {}", i);
+                    }
+                }
+                3 => {
+                    new.release(tag);
+                    old.release(tag);
+                    allocated[tag] = false;
+                }
+                4 => {
+                    new.observe_address(value);
+                    old.observe_address(value);
+                }
+                5 => {
+                    new.rob_interval_tick();
+                    old.rob_interval_tick();
+                }
+                6 => {
+                    new.sample_occupancy();
+                    old.sample_occupancy();
+                }
+                _ => {
+                    let limit = tag % (params.long_entries + 2);
+                    new.set_long_capacity_limit(limit);
+                    old.set_long_capacity_limit(limit);
+                }
+            }
+            prop_assert_eq!(new.class_of(tag), old.class_of(tag), "class at step {}", i);
+            prop_assert_eq!(new.peek(tag), old.peek(tag), "peek at step {}", i);
+            prop_assert_eq!(new.should_stall_issue(), old.should_stall_issue(), "stall at step {}", i);
+            prop_assert_eq!(
+                new.classify_value(value, address),
+                old.classify_value(value, address),
+                "classify at step {}", i
+            );
+            prop_assert_eq!(new.long_live_count(), old.long_live_count(), "live at step {}", i);
+        }
+        new.sample_occupancy();
+        old.sample_occupancy();
+        prop_assert_eq!(new.stats(), old.stats());
+        prop_assert_eq!(new.occupancy_report(), old.occupancy_report());
     }
 }
