@@ -28,6 +28,16 @@
 //! Contexts are stepped sequentially on the caller's thread, so a
 //! co-simulation is deterministic at any harness worker count.
 //!
+//! A context's live counters (`committed`, `cycles`,
+//! `long_guard_stall_cycles`, …) are current after every step. Its
+//! aggregate statistics (memory, predictor, register-file access counts,
+//! occupancy, LSQ and FU counters; see
+//! [`Simulator::stats`](crate::Simulator::stats)) are finalized once: in
+//! the step in which the context finishes, so a finished context's
+//! shared-L2 counters stay frozen at that instant while its co-runners
+//! run on, or, for a context still running, when [`MultiSim::run`]
+//! returns.
+//!
 //! # Example
 //!
 //! ```no_run
@@ -91,7 +101,8 @@ pub struct ContentionStats {
     pub peak_long_total: usize,
 }
 
-/// N contexts in lockstep under a [`SharingPolicy`].
+/// N contexts in lockstep under a [`SharingPolicy`]. The module docs say
+/// when each context's statistics are current.
 #[derive(Debug)]
 pub struct MultiSim<T: Tracer = NopTracer> {
     ctxs: Vec<AnySimulator<T>>,
@@ -282,7 +293,11 @@ impl<T: Tracer> MultiSim<T> {
         self.grant_scratch = grants;
     }
 
-    /// Advances every unfinished context one cycle under the policy.
+    /// Advances every unfinished context one cycle under the policy, and
+    /// finalizes the statistics of each context that finishes in it. The
+    /// aggregate statistics of a context still running are not refreshed
+    /// (see the module docs); [`MultiSim::run`] refreshes them when it
+    /// returns.
     ///
     /// # Errors
     ///
@@ -321,6 +336,9 @@ impl<T: Tracer> MultiSim<T> {
                 self.live[i] = now;
             }
             if sim.is_halted() || sim.stats().committed >= per_thread_insts {
+                // Before the co-runners step on: a shared L2's counters
+                // are read at this context's own finishing instant.
+                sim.finalize_stats();
                 self.done[i] = true;
                 self.finish_cycle[i] = self.cycles + 1;
             }
@@ -331,7 +349,9 @@ impl<T: Tracer> MultiSim<T> {
     }
 
     /// Runs until every context halts or reaches `per_thread_insts`, or
-    /// the shared clock hits `max_cycles`.
+    /// the shared clock hits `max_cycles`. Every context's statistics are
+    /// final when it returns: a finished context's as of its finishing
+    /// step, and those of contexts the clock cap cut off as of now.
     ///
     /// # Errors
     ///
@@ -343,6 +363,11 @@ impl<T: Tracer> MultiSim<T> {
     ) -> Result<Vec<MultiThreadResult>, SimError> {
         while self.cycles < max_cycles && self.done.iter().any(|d| !d) {
             self.step(per_thread_insts)?;
+        }
+        for (sim, done) in self.ctxs.iter_mut().zip(&self.done) {
+            if !done {
+                sim.finalize_stats();
+            }
         }
         Ok(self.results())
     }
@@ -451,60 +476,132 @@ mod tests {
         }
     }
 
-    #[test]
-    fn shared_long_matches_legacy_recount_semantics() {
-        // The incremental live counter must reproduce the original
-        // per-cycle recount bit for bit: same budgets, same stalls, same
-        // per-thread cycle counts.
-        let progs = programs(&["hash_table", "sparse_update"]);
-        let (cap, per_thread, max_cycles) = (40usize, 15_000u64, 400_000u64);
-        let mut multi = MultiSim::new(
-            progs.iter().map(|p| (carf_cfg(), p)).collect(),
-            SharingPolicy::shared_long(cap),
-        )
-        .unwrap();
-        let new = multi.run(max_cycles, per_thread).unwrap();
+    /// What a reference co-simulation leaves behind: the contexts, each
+    /// one's finishing cycle (`None` while unfinished), and the clock.
+    struct Reference {
+        sims: Vec<AnySimulator>,
+        finish: Vec<Option<u64>>,
+        clock: u64,
+    }
 
-        // Reference: the original two-pipeline shared-Long loop,
-        // recounting every context's live Long entries at the top of
-        // every cycle.
+    /// The original lockstep loop, for free fetch under `policy`: every
+    /// context's live Long entries recounted at the top of every cycle,
+    /// and every context's statistics finalized right after each of its
+    /// steps, as `step_cycle` once did itself.
+    fn lockstep_reference(
+        progs: &[carf_isa::Program],
+        policy: SharingPolicy,
+        max_cycles: u64,
+        per_thread: u64,
+    ) -> Reference {
+        assert_eq!(policy.fetch, FetchArbitration::Free, "the reference fetches freely");
         let mut sims: Vec<AnySimulator> =
             progs.iter().map(|p| AnySimulator::new(carf_cfg(), p)).collect();
-        let mut done = vec![false; sims.len()];
-        let mut finish = vec![0u64; sims.len()];
+        if policy.shared_l2 {
+            let h = carf_cfg().hierarchy;
+            let shared = SharedL2Handle::new(h.l2, h.memory_latency);
+            for sim in &mut sims {
+                sim.attach_shared_l2(shared.clone());
+            }
+        }
+        let mut finish = vec![None; sims.len()];
         let mut clock = 0u64;
-        while clock < max_cycles && done.iter().any(|d| !d) {
+        while clock < max_cycles && finish.iter().any(Option::is_none) {
             let lives: Vec<usize> =
                 sims.iter().map(|s| s.int_regfile().long_live_count()).collect();
             let total: usize = lives.iter().sum();
             for (i, sim) in sims.iter_mut().enumerate() {
-                if done[i] {
+                if finish[i].is_some() {
                     continue;
                 }
-                let budget = cap.saturating_sub(total - lives[i]);
-                sim.int_regfile_mut().set_long_capacity_limit(budget);
+                if let Some(cap) = policy.shared_long_capacity {
+                    let budget = cap.saturating_sub(total - lives[i]);
+                    sim.int_regfile_mut().set_long_capacity_limit(budget);
+                }
                 sim.step_cycle().unwrap();
+                sim.finalize_stats();
                 if sim.is_halted() || sim.stats().committed >= per_thread {
-                    done[i] = true;
-                    finish[i] = clock + 1;
+                    finish[i] = Some(clock + 1);
                 }
             }
             clock += 1;
         }
+        Reference { sims, finish, clock }
+    }
+
+    /// Runs `progs` on carf contexts under `policy` and checks every
+    /// context's results, whole statistics and architectural state
+    /// against [`lockstep_reference`]'s; returns the reference.
+    fn assert_matches_reference(
+        progs: &[carf_isa::Program],
+        policy: SharingPolicy,
+        max_cycles: u64,
+        per_thread: u64,
+    ) -> Reference {
+        let mut multi =
+            MultiSim::new(progs.iter().map(|p| (carf_cfg(), p)).collect(), policy).unwrap();
+        let new = multi.run(max_cycles, per_thread).unwrap();
+        let reference = lockstep_reference(progs, policy, max_cycles, per_thread);
+        assert_eq!(multi.cycles(), reference.clock);
         for (i, n) in new.iter().enumerate() {
-            let stats = sims[i].stats();
+            let stats = reference.sims[i].stats();
             assert_eq!(n.committed, stats.committed, "context {i}");
-            assert_eq!(n.cycles, if done[i] { finish[i] } else { clock }.max(1), "context {i}");
-            assert_eq!(
-                n.long_guard_stall_cycles, stats.long_guard_stall_cycles,
-                "context {i}"
-            );
+            let active = reference.finish[i].unwrap_or(reference.clock).max(1);
+            assert_eq!(n.cycles, active, "context {i}");
+            assert_eq!(n.long_guard_stall_cycles, stats.long_guard_stall_cycles, "context {i}");
+            assert_eq!(multi.ctx(i).stats(), stats, "context {i}: statistics differ");
             assert_eq!(
                 multi.ctx(i).arch_checkpoint().fingerprint(),
-                sims[i].arch_checkpoint().fingerprint(),
+                reference.sims[i].arch_checkpoint().fingerprint(),
                 "context {i}"
             );
         }
+        reference
+    }
+
+    #[test]
+    fn shared_long_matches_legacy_recount_semantics() {
+        // The incremental live counter must reproduce the original
+        // per-cycle recount bit for bit: same budgets, same stalls, same
+        // per-thread cycle counts, and, finalized once per context, the
+        // same statistics as finalizing after every step.
+        let progs = programs(&["hash_table", "sparse_update"]);
+        let reference =
+            assert_matches_reference(&progs, SharingPolicy::shared_long(40), 400_000, 15_000);
+        assert!(reference.finish.iter().all(Option::is_some), "both contexts finish");
+        assert!(
+            reference.sims.iter().all(|s| s.stats().long_guard_stall_cycles > 0),
+            "the shared window must bind"
+        );
+    }
+
+    #[test]
+    fn statistics_of_contexts_cut_off_by_the_clock_are_final() {
+        // `run` finalizes the contexts the clock cap stops, as of its
+        // return.
+        let progs = programs(&["hash_table", "sparse_update"]);
+        let reference =
+            assert_matches_reference(&progs, SharingPolicy::shared_long(40), 3_000, 15_000);
+        assert!(reference.finish.iter().all(Option::is_none), "the cap must cut both off");
+        // Aggregates that moved, so matching them shows `run` refreshed them.
+        assert!(reference.sims.iter().all(|s| s.stats().mem.dl1.hits > 0));
+    }
+
+    #[test]
+    fn an_early_finisher_keeps_the_shared_l2_counters_of_its_finish() {
+        // pointer_chase halts well before hash_table. Its shared-L2
+        // counters must stay those of its finishing step, not take in the
+        // co-runner's later traffic.
+        let progs = programs(&["pointer_chase", "hash_table"]);
+        let reference =
+            assert_matches_reference(&progs, SharingPolicy::shared_l2(), 400_000, u64::MAX);
+        let (early, late) = match reference.finish[..] {
+            [Some(a), Some(b)] => (a, b),
+            ref f => panic!("both contexts must halt: {f:?}"),
+        };
+        assert!(early * 4 < late * 3, "finishes at {early} and {late} are too close");
+        let (a, b) = (reference.sims[0].stats().mem, reference.sims[1].stats().mem);
+        assert!(a.memory_accesses < b.memory_accesses, "{a:?} vs {b:?}");
     }
 
     #[test]
@@ -530,12 +627,11 @@ mod tests {
             SharingPolicy::shared_l2(),
         )
         .unwrap();
-        // Step a fixed slice of the shared clock so both contexts snapshot
+        // Run a fixed slice of the shared clock so both contexts snapshot
         // the shared counters at the same instant (a finished context's
-        // stats freeze while co-runners keep mutating the shared array).
-        for _ in 0..1_000 {
-            multi.step(u64::MAX).unwrap();
-        }
+        // stats freeze while co-runners keep mutating the shared array):
+        // `run` finalizes the contexts its clock cap cuts off.
+        multi.run(1_000, u64::MAX).unwrap();
         assert!(!multi.all_done(), "workloads too short for this test");
         // Both contexts report the same aggregate shared-L2 counters.
         let a = multi.ctx(0).stats().mem;

@@ -183,6 +183,12 @@ impl<T: Tracer> AnySimulator<T> {
         dispatch!(self, sim => sim.stats())
     }
 
+    /// Brings the aggregate groups of [`AnySimulator::stats`] up to date
+    /// (what [`Simulator::run`] does when it returns).
+    pub(crate) fn finalize_stats(&mut self) {
+        dispatch!(self, sim => sim.finalize_stats())
+    }
+
     /// See [`Simulator::is_halted`].
     pub fn is_halted(&self) -> bool {
         dispatch!(self, sim => sim.is_halted())

@@ -129,6 +129,24 @@ impl<R: IntRegFile, T: Tracer> Simulator<R, T> {
         // found ready; evaluating a not-ready entry has no side effects.
         self.issue_cand.clear();
         self.wake_wheel.drain_into(self.now, &mut self.issue_cand);
+        // A candidate the guard holds back is parked in `guard_held`, not
+        // re-queued for the next cycle only to be held again. On a guard
+        // cycle the head leaves the list, every copy of it, because the
+        // guard exempts it; the first cycle without the guard takes the
+        // whole list back. That is the candidate set re-queueing gave:
+        // entries that went stale meanwhile drop out below, and the dedup
+        // removes copies.
+        if guard {
+            if let Some(head) = oldest {
+                let held = self.guard_held.len();
+                self.guard_held.retain(|&h| h != head);
+                if self.guard_held.len() < held {
+                    self.issue_cand.push(head);
+                }
+            }
+        } else {
+            self.issue_cand.append(&mut self.guard_held);
+        }
         if self.issue_cand.is_empty() {
             return;
         }
@@ -155,7 +173,7 @@ impl<R: IntRegFile, T: Tracer> Simulator<R, T> {
                 continue;
             }
             if guard && Some(handle) != oldest {
-                self.wake_wheel.schedule(self.now, self.now + 1, handle);
+                self.guard_held.push(handle);
                 continue;
             }
             let kind = self.rob[idx].kind;

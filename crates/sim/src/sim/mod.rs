@@ -110,11 +110,17 @@ impl TimingWheel {
     }
 
     /// Appends every event scheduled for `now` to `out` (ring slot first,
-    /// then any overflow spill) and clears them. Slot capacity is kept, so
-    /// the steady-state hot loop is allocation-free.
+    /// then any overflow spill) and clears them. An empty `out` trades
+    /// buffers with the slot instead of copying, so capacity circulates
+    /// between the slots and the caller's scratch and the steady-state hot
+    /// loop stays allocation-free.
     fn drain_into(&mut self, now: u64, out: &mut Vec<u64>) {
         let slot = &mut self.slots[(now & self.mask) as usize];
-        out.append(slot);
+        if out.is_empty() {
+            std::mem::swap(out, slot);
+        } else {
+            out.append(slot);
+        }
         if !self.overflow.is_empty() {
             if let Some(mut spill) = self.overflow.remove(&now) {
                 out.append(&mut spill);
@@ -393,6 +399,10 @@ pub struct Simulator<R: IntRegFile, T: Tracer = NopTracer> {
     fp_consumers: Vec<Vec<u64>>,
     pending_loads: Vec<u64>,
     wb_pending: Vec<u64>,
+    /// Issue candidates the Long guard held back, parked until the first
+    /// cycle without the guard instead of re-queued every cycle (see
+    /// `issue`).
+    guard_held: Vec<u64>,
     // Reusable scratch buffers: the per-cycle stages below swap through
     // these instead of allocating, so the steady-state hot loop is
     // allocation-free.
@@ -749,6 +759,7 @@ impl<R: RegFileBackend, T: Tracer> Simulator<R, T> {
             fp_consumers: vec![Vec::new(); config.fp_pregs],
             pending_loads: Vec::new(),
             wb_pending: Vec::new(),
+            guard_held: Vec::new(),
             handle_scratch: Vec::new(),
             issue_cand: Vec::new(),
             event_scratch: Vec::new(),
@@ -791,7 +802,18 @@ impl<R: RegFileBackend, T: Tracer> Simulator<R, T> {
 }
 
 impl<R: IntRegFile, T: Tracer> Simulator<R, T> {
-    /// The accumulated statistics (finalized by [`Simulator::run`]).
+    /// The accumulated statistics.
+    ///
+    /// The live counters, which the pipeline counts into [`SimStats`]
+    /// itself (`cycles`, `committed`, `long_guard_stall_cycles`, the
+    /// operand, squash and dispatch-stall counts, the oracle), are current
+    /// after every cycle. The aggregate groups are copied out of the
+    /// structures that count them: `mem`, `bpred`, `int_rf`, `fp_rf`, the
+    /// Long and Short occupancy figures, `stl_forwards`, the LSQ counters
+    /// and the FU denials. They are current once [`Simulator::run`] or
+    /// [`Simulator::run_exact`] returns, or once
+    /// [`MultiSim`](crate::MultiSim) has finalized the context; bare
+    /// [`Simulator::step_cycle`] calls leave them as they were.
     pub fn stats(&self) -> &SimStats {
         &self.stats
     }
@@ -854,6 +876,11 @@ impl<R: IntRegFile, T: Tracer> Simulator<R, T> {
     /// harnesses use this to interleave several machines on one clock;
     /// [`Simulator::run`] is the usual driver.
     ///
+    /// A step keeps the live counters of [`Simulator::stats`] current but
+    /// leaves its aggregate groups as they were (see there);
+    /// [`MultiSim`](crate::MultiSim) finalizes them when a context
+    /// finishes.
+    ///
     /// # Errors
     ///
     /// Returns a [`SimError`] on co-simulation divergence, watchdog
@@ -866,9 +893,6 @@ impl<R: IntRegFile, T: Tracer> Simulator<R, T> {
         if self.now.saturating_sub(self.last_commit_cycle) > self.config.watchdog_cycles {
             return Err(SimError::Watchdog { cycle: self.now });
         }
-        // Keep aggregate statistics current for harnesses that read them
-        // between steps.
-        self.finalize_stats();
         Ok(())
     }
 
@@ -972,7 +996,9 @@ impl<R: IntRegFile, T: Tracer> Simulator<R, T> {
         self.bpred = warm.bpred.clone();
     }
 
-    fn finalize_stats(&mut self) {
+    /// Copies the aggregate groups of [`Simulator::stats`] out of the
+    /// structures that count them, as they stand now.
+    pub(crate) fn finalize_stats(&mut self) {
         self.stats.bpred = *self.bpred.stats();
         self.stats.mem = self.hier.stats();
         self.stats.int_rf = *self.int_rf.stats();

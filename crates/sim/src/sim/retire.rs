@@ -55,30 +55,25 @@ impl<R: IntRegFile, T: Tracer> Simulator<R, T> {
             if self.commit_limit.is_some_and(|limit| self.stats.committed >= limit) {
                 break;
             }
-            let ready = match self.rob.front() {
-                Some(slot) => match slot.state {
-                    SlotState::Completed => true,
-                    SlotState::WbGranted => self.now >= slot.wb_done_at,
-                    _ => false,
-                },
-                None => false,
+            // The head is read and retired in place, by index.
+            let Some(idx) = self.rob.front_index() else { break };
+            let slot = &self.rob[idx];
+            let ready = match slot.state {
+                SlotState::Completed => true,
+                SlotState::WbGranted => self.now >= slot.wb_done_at,
+                _ => false,
             };
             if !ready {
                 break;
             }
             // Stores drain to memory at commit and need a cache port.
-            let (is_store, addr) = {
-                let slot = self.rob.front().expect("checked above");
-                (slot.kind == InstKind::Store, slot.mem_addr)
-            };
-            if is_store {
+            if slot.kind == InstKind::Store {
                 if !self.hier.try_dl1_port() {
                     break;
                 }
-                let slot = self.rob.front().expect("checked above");
                 // A store only reaches `Completed` after address generation
                 // set `mem_addr`; a missing address here is a pipeline bug.
-                let Some(addr) = addr else {
+                let Some(addr) = slot.mem_addr else {
                     return Err(SimError::Internal {
                         cycle: self.now,
                         detail: format!(
@@ -96,10 +91,11 @@ impl<R: IntRegFile, T: Tracer> Simulator<R, T> {
                 }
             }
 
-            let slot = self.rob.pop_front().expect("checked above");
-            self.check_golden(&slot)?;
-            self.retire_bookkeeping(&slot);
-            if slot.kind == InstKind::Halt {
+            self.check_golden(idx)?;
+            self.retire_bookkeeping(idx);
+            let halt = self.rob[idx].kind == InstKind::Halt;
+            self.rob.retire_front();
+            if halt {
                 self.halted = true;
                 return Ok(());
             }
@@ -107,7 +103,10 @@ impl<R: IntRegFile, T: Tracer> Simulator<R, T> {
         Ok(())
     }
 
-    pub(super) fn retire_bookkeeping(&mut self, slot: &Slot) {
+    /// Retires the committing instruction at ROB position `idx`, which
+    /// commit vacates afterwards.
+    pub(super) fn retire_bookkeeping(&mut self, idx: usize) {
+        let slot = &self.rob[idx];
         self.stats.committed += 1;
         self.last_commit_cycle = self.now;
         // Architectural PC at the new commit boundary. `actual_next` is
@@ -183,8 +182,11 @@ impl<R: IntRegFile, T: Tracer> Simulator<R, T> {
         }
     }
 
-    pub(super) fn check_golden(&mut self, slot: &Slot) -> Result<(), SimError> {
+    /// Checks the committing instruction at ROB position `idx` against the
+    /// functional golden model.
+    pub(super) fn check_golden(&mut self, idx: usize) -> Result<(), SimError> {
         let Some(golden) = self.golden.as_mut() else { return Ok(()) };
+        let slot = &self.rob[idx];
         let mismatch = |detail: String| SimError::CosimMismatch {
             seq: seq_of(slot.handle),
             pc: slot.pc,

@@ -112,22 +112,24 @@ impl Rob {
         (self.len > 0).then(|| &self.slots[self.head])
     }
 
+    /// The position of the oldest instruction.
+    pub(super) fn front_index(&self) -> Option<usize> {
+        (self.len > 0).then_some(self.head)
+    }
+
     /// The youngest instruction.
     pub(super) fn back(&self) -> Option<&Slot> {
         (self.len > 0).then(|| &self.slots[self.wrap(self.head, self.len - 1)])
     }
 
-    /// Removes the oldest instruction (commit).
-    pub(super) fn pop_front(&mut self) -> Option<Slot> {
-        if self.len == 0 {
-            return None;
-        }
-        let pos = self.head;
-        let slot = self.slots[pos];
-        self.slots[pos].handle = 0;
-        self.head = self.wrap(pos, 1);
+    /// Vacates the oldest instruction's position (commit). Only the handle
+    /// is reset, so commit reads the slot in place, by index, and retires
+    /// it here without copying it out.
+    pub(super) fn retire_front(&mut self) {
+        debug_assert!(self.len > 0, "commit from an empty reorder buffer");
+        self.slots[self.head].handle = 0;
+        self.head = self.wrap(self.head, 1);
         self.len -= 1;
-        Some(slot)
     }
 
     /// Removes the youngest instruction (squash).
@@ -173,8 +175,10 @@ mod tests {
         let mut rob = Rob::new(2);
         let first = dispatch(&mut rob, 1);
         let second = dispatch(&mut rob, 2);
-        assert_eq!(rob.pop_front().map(|s| s.handle), Some(first));
+        assert_eq!(rob.front().map(|s| s.handle), Some(first));
+        rob.retire_front();
         assert_eq!(rob.slot_index(first), None, "a vacated position holds no handle");
+        assert_eq!(rob.front_index(), Some(1));
         let third = dispatch(&mut rob, 3);
         assert_eq!(third & POS_MASK, first & POS_MASK);
         assert_eq!(rob.slot_index(first), None);
@@ -206,7 +210,9 @@ mod tests {
         for seq in 1..=10u64 {
             if rob.is_full() {
                 let oldest = live.pop_front().expect("a full ring holds something");
-                assert_eq!(rob.pop_front().map(|s| s.handle), Some(oldest));
+                let head = rob.front_index().expect("a full ring holds something");
+                assert_eq!(rob[head].handle, oldest);
+                rob.retire_front();
             }
             let handle = dispatch(&mut rob, seq);
             positions.push(rob.slot_index(handle).expect("just dispatched"));

@@ -255,6 +255,225 @@ fn squash_storm_stats_are_pinned() {
     }
 }
 
+/// The Long guard under pressure (paper §3.1): a 36-entry Long file on the
+/// two suite kernels whose live Long values crowd it, so the guard holds
+/// issue back on most cycles. Every other pinned run stalls on the guard
+/// on no cycle at all, so these pin the guard's path, and name the
+/// counters it moves that [`fingerprint`] leaves out.
+const GUARD_HEAVY_LONG_ENTRIES: usize = 36;
+
+fn guard_heavy_run(config: &SimConfig, workload: &str) -> SimStats {
+    let program = carf_workloads::int_suite()
+        .into_iter()
+        .find(|w| w.name == workload)
+        .unwrap_or_else(|| panic!("no workload {workload}"))
+        .build_class(carf_workloads::SizeClass::Test);
+    let mut cfg = config.clone();
+    cfg.cosim = true;
+    let mut sim = AnySimulator::new(cfg, &program);
+    let r = sim.run(30_000).expect("clean run");
+    assert!(r.halted, "{workload} must run to completion");
+    let stats = sim.stats().clone();
+    assert!(
+        stats.long_guard_stall_cycles * 5 > stats.cycles,
+        "{workload} must stall on the guard on over 20% of cycles: {} of {}",
+        stats.long_guard_stall_cycles,
+        stats.cycles
+    );
+    stats
+}
+
+fn guard_fingerprint(s: &SimStats) -> Vec<(&'static str, u64)> {
+    let mut fp = fingerprint(s);
+    fp.extend([
+        ("long_guard_stall_cycles", s.long_guard_stall_cycles),
+        ("rf_read_port_denials", s.rf_read_port_denials),
+        ("wb_long_retries", s.wb_long_retries),
+        ("deadlock_recoveries", s.deadlock_recoveries),
+        ("int_rf_writes_simple", s.int_rf.writes.simple),
+        ("int_rf_writes_short", s.int_rf.writes.short),
+        ("int_rf_writes_long", s.int_rf.writes.long),
+        ("int_rf_long_write_stalls", s.int_rf.long_write_stalls),
+        ("dl1_hits", s.mem.dl1.hits),
+        ("dl1_misses", s.mem.dl1.misses),
+        ("l2_hits", s.mem.l2.hits),
+        ("l2_misses", s.mem.l2.misses),
+    ]);
+    fp
+}
+
+/// The guard-heavy points: (label, machine, workload).
+fn guard_heavy_points() -> Vec<(&'static str, SimConfig, &'static str)> {
+    let params =
+        carf_core::CarfParams { long_entries: GUARD_HEAVY_LONG_ENTRIES, ..Default::default() };
+    vec![
+        ("carf/hash_table", SimConfig::paper_carf(params), "hash_table"),
+        ("carf/sparse_update", SimConfig::paper_carf(params), "sparse_update"),
+        ("compressed/hash_table", SimConfig::paper_compressed(params), "hash_table"),
+        ("compressed/sparse_update", SimConfig::paper_compressed(params), "sparse_update"),
+    ]
+}
+
+#[test]
+fn guard_heavy_stats_are_pinned() {
+    // Captured before issue candidates held back by the guard were parked
+    // in a list instead of re-queued every cycle; that change must leave
+    // every one of these counters as it was.
+    let expected: &[(&str, &[(&str, u64)])] = &[
+        (
+            "carf/hash_table",
+            &[
+                ("cycles", 25942),
+                ("committed", 24009),
+                ("loads", 2000),
+                ("stores", 2001),
+                ("branches", 2000),
+                ("fetched", 24102),
+                ("squashed", 58),
+                ("mispredicts", 16),
+                ("bypassed_operands", 20668),
+                ("rf_operands", 15334),
+                ("zero_operands", 2000),
+                ("load_replays", 921),
+                ("int_rf_reads", 15334),
+                ("int_rf_writes", 20022),
+                ("fp_rf_reads", 0),
+                ("fp_rf_writes", 0),
+                ("stl_forwards", 1),
+                ("long_guard_stall_cycles", 17463),
+                ("rf_read_port_denials", 182),
+                ("wb_long_retries", 0),
+                ("deadlock_recoveries", 0),
+                ("int_rf_writes_simple", 7590),
+                ("int_rf_writes_short", 1999),
+                ("int_rf_writes_long", 10433),
+                ("int_rf_long_write_stalls", 0),
+                ("dl1_hits", 3497),
+                ("dl1_misses", 503),
+                ("l2_hits", 1),
+                ("l2_misses", 506),
+            ],
+        ),
+        (
+            "carf/sparse_update",
+            &[
+                ("cycles", 35304),
+                ("committed", 24009),
+                ("loads", 2000),
+                ("stores", 2001),
+                ("branches", 2000),
+                ("fetched", 24098),
+                ("squashed", 57),
+                ("mispredicts", 16),
+                ("bypassed_operands", 20721),
+                ("rf_operands", 15281),
+                ("zero_operands", 2000),
+                ("load_replays", 3097),
+                ("int_rf_reads", 15281),
+                ("int_rf_writes", 20022),
+                ("fp_rf_reads", 0),
+                ("fp_rf_writes", 0),
+                ("stl_forwards", 0),
+                ("long_guard_stall_cycles", 26175),
+                ("rf_read_port_denials", 241),
+                ("wb_long_retries", 0),
+                ("deadlock_recoveries", 0),
+                ("int_rf_writes_simple", 7972),
+                ("int_rf_writes_short", 1996),
+                ("int_rf_writes_long", 10054),
+                ("int_rf_long_write_stalls", 0),
+                ("dl1_hits", 2086),
+                ("dl1_misses", 1915),
+                ("l2_hits", 1523),
+                ("l2_misses", 1798),
+            ],
+        ),
+        (
+            "compressed/hash_table",
+            &[
+                ("cycles", 22524),
+                ("committed", 24009),
+                ("loads", 2000),
+                ("stores", 2001),
+                ("branches", 2000),
+                ("fetched", 24098),
+                ("squashed", 55),
+                ("mispredicts", 16),
+                ("bypassed_operands", 21270),
+                ("rf_operands", 14732),
+                ("zero_operands", 2000),
+                ("load_replays", 0),
+                ("int_rf_reads", 14732),
+                ("int_rf_writes", 20016),
+                ("fp_rf_reads", 0),
+                ("fp_rf_writes", 0),
+                ("stl_forwards", 1),
+                ("long_guard_stall_cycles", 11792),
+                ("rf_read_port_denials", 30),
+                ("wb_long_retries", 0),
+                ("deadlock_recoveries", 0),
+                ("int_rf_writes_simple", 7590),
+                ("int_rf_writes_short", 2556),
+                ("int_rf_writes_long", 9870),
+                ("int_rf_long_write_stalls", 0),
+                ("dl1_hits", 3497),
+                ("dl1_misses", 503),
+                ("l2_hits", 1),
+                ("l2_misses", 506),
+            ],
+        ),
+        (
+            "compressed/sparse_update",
+            &[
+                ("cycles", 33903),
+                ("committed", 24009),
+                ("loads", 2000),
+                ("stores", 2001),
+                ("branches", 2000),
+                ("fetched", 24098),
+                ("squashed", 57),
+                ("mispredicts", 16),
+                ("bypassed_operands", 20360),
+                ("rf_operands", 15642),
+                ("zero_operands", 2000),
+                ("load_replays", 0),
+                ("int_rf_reads", 15642),
+                ("int_rf_writes", 20021),
+                ("fp_rf_reads", 0),
+                ("fp_rf_writes", 0),
+                ("stl_forwards", 0),
+                ("long_guard_stall_cycles", 24303),
+                ("rf_read_port_denials", 136),
+                ("wb_long_retries", 0),
+                ("deadlock_recoveries", 0),
+                ("int_rf_writes_simple", 7972),
+                ("int_rf_writes_short", 1435),
+                ("int_rf_writes_long", 10614),
+                ("int_rf_long_write_stalls", 0),
+                ("dl1_hits", 2086),
+                ("dl1_misses", 1915),
+                ("l2_hits", 1523),
+                ("l2_misses", 1798),
+            ],
+        ),
+    ];
+    let points = guard_heavy_points();
+    assert_eq!(points.len(), expected.len());
+    for ((label, config, workload), (pinned_label, want)) in points.iter().zip(expected) {
+        assert_eq!(label, pinned_label);
+        let got = guard_fingerprint(&guard_heavy_run(config, workload));
+        assert_eq!(got.len(), want.len(), "{label}");
+        for ((name, have), (pinned_name, want)) in got.iter().zip(want.iter()) {
+            assert_eq!(name, pinned_name);
+            assert_eq!(
+                have, want,
+                "{name} drifted on {label} (got {have}, pinned {want});\n\
+                 full fingerprint: {got:?}"
+            );
+        }
+    }
+}
+
 #[test]
 #[ignore = "prints the current fingerprints for re-pinning"]
 fn print_fingerprints() {
@@ -268,4 +487,7 @@ fn print_fingerprints() {
     println!("carf: {:?}", fingerprint(&carf_stats));
     println!("carf oracle: {:?}", oracle_fingerprint(&carf_stats));
     println!("branch_storm: {:?}", fingerprint(&branch_storm_run()));
+    for (label, config, workload) in guard_heavy_points() {
+        println!("{label}: {:?}", guard_fingerprint(&guard_heavy_run(&config, workload)));
+    }
 }
